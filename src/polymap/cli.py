@@ -71,7 +71,6 @@ def cmd_eval(args) -> int:
         resolution=args.resolution,
         samples=args.samples,
         match_iou=args.match_iou,
-        threads=args.threads,
     )
     if report.n_ratio is None:
         print("warning: no matched pairs at the matching threshold; "
@@ -125,6 +124,11 @@ def cmd_train_toy(args) -> int:
     samples = corpus_samples(doc, rasters, cfg)
     if not samples:
         raise CocoFormatError(f"corpus {args.corpus} has no annotations")
+    if args.eval_corpus:
+        edoc, erasters = load_corpus(args.eval_corpus)
+        esamples = corpus_samples(edoc, erasters, cfg)
+        if not esamples:
+            raise CocoFormatError(f"eval corpus {args.eval_corpus} has no annotations")
     weights = LossWeights(
         lambda_cls=args.lambda_cls, lambda_bbox=args.lambda_bbox, lambda_poly=args.lambda_poly
     )
@@ -158,8 +162,6 @@ def cmd_train_toy(args) -> int:
         "loss_curve": str(out_dir / "loss_curve.csv"),
     }
     if args.eval_corpus:
-        edoc, erasters = load_corpus(args.eval_corpus)
-        esamples = corpus_samples(edoc, erasters, cfg)
         preds = []
         gts = []
         for s, (poly, score) in zip(esamples, predict_batch(store, cfg, esamples)):
@@ -167,7 +169,7 @@ def cmd_train_toy(args) -> int:
             gts.append(GtInstance(image_id=image_id, polygon=s.polygon))
             if poly is not None:
                 preds.append(PredInstance(image_id=image_id, polygon=poly, score=score))
-        report = evaluate_instances(preds, gts, threads=args.threads)
+        report = evaluate_instances(preds, gts)
         summary["eval"] = report.as_dict()
         summary["held_out_sv"] = held_out_sv_loss(store, cfg, esamples)
         (out_dir / "eval.json").write_text(
@@ -290,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=128, help="tangent-angle boundary samples")
     p.add_argument("--match-iou", type=float, default=0.5,
                    help="IoU threshold for the polygonal-metric pairing")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
@@ -318,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stem-lr-scale", type=float, default=0.1,
                    help="learning-rate multiplier for the image stem (backbone role)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--detection", action="store_true",
                    help="add the classification/box branch over jittered proposals")
     p.add_argument("--lambda-cls", type=float, default=1.0)

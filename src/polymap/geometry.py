@@ -72,13 +72,9 @@ class Polygon:
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(min_x, min_y, max_x, max_y)."""
-        arr = self.as_array()
-        return (
-            float(arr[:, 0].min()),
-            float(arr[:, 1].min()),
-            float(arr[:, 0].max()),
-            float(arr[:, 1].max()),
-        )
+        xs = [v.x for v in self.vertices]
+        ys = [v.y for v in self.vertices]
+        return (float(min(xs)), float(min(ys)), float(max(xs)), float(max(ys)))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -229,7 +225,14 @@ def mask_iou(a: RasterMask, b: RasterMask) -> float:
 
 
 def polygon_iou(a: Polygon, b: Polygon, resolution: int = 256) -> float:
-    """IoU via rasterization on the joint bounding box scaled to `resolution` on the long side."""
+    """IoU via rasterization on the joint bounding box scaled to `resolution` on the long side.
+
+    Boxes more than one raster pixel apart on x or on y score 0.0 without
+    rasterizing: no pixel center can then be inside or on an edge of both
+    polygons, so the rasterized intersection would be empty too.  Boxes that
+    touch or come within a pixel are rasterized, since they can share
+    boundary pixels.
+    """
     if resolution < 16:
         raise ValueError(f"resolution must be at least 16, got {resolution}")
     ax0, ay0, ax1, ay1 = a.bounds()
@@ -240,6 +243,8 @@ def polygon_iou(a: Polygon, b: Polygon, resolution: int = 256) -> float:
     h = y1 - y0
     long_side = max(w, h)
     if long_side <= 0:
+        return 0.0
+    if max(ax0 - bx1, bx0 - ax1, ay0 - by1, by0 - ay1) > long_side / resolution:
         return 0.0
     scale = resolution / long_side
     width = max(1, int(math.ceil(w * scale - 1e-9)))

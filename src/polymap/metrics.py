@@ -1,13 +1,13 @@
 """Polygonal instance evaluation: COCO-style AP/AR/F1 plus shape-quality metrics.
 
 Matching is greedy in descending score with IoUs computed by polygon
-rasterization.  Vertex-count ratio, complexity-aware IoU and the maximum
-tangent-angle error are computed over the pairs matched at IoU 0.5.
+rasterization, one IoU matrix per image reused at every threshold.
+Vertex-count ratio, complexity-aware IoU and the maximum tangent-angle error
+are computed over the pairs matched at IoU 0.5.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +123,47 @@ def _greedy_assign(iou_mat: np.ndarray, threshold: float) -> list[int | None]:
     return out
 
 
+def _check_threshold(iou_threshold: float) -> None:
+    if not 0 < iou_threshold < 1:
+        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
+
+
+def _image_passes(preds, gts, resolution: int, thresholds) -> list:
+    """One IoU pass per image, in image-id order.
+
+    Each entry is (score-sorted predictions, sorted ground truths, IoU matrix
+    over all of them, {threshold: greedy assignment of every row}).  Greedy
+    assignment is sequential in row order, so its first k rows equal the
+    assignment of the top-k predictions alone.
+    """
+    images = _group_by_image(preds, gts)
+    passes = []
+    for image_id in sorted(images, key=str):
+        img_preds, img_gts = images[image_id]
+        mat = _iou_matrix(img_preds, img_gts, resolution)
+        assigns = {thr: _greedy_assign(mat, thr) for thr in thresholds}
+        passes.append((img_preds, img_gts, mat, assigns))
+    return passes
+
+
+def _matches(passes: list, threshold: float, max_dets: int | None = None) -> list[Match]:
+    """Matches at one threshold for the top `max_dets` (default all) predictions per image."""
+    out: list[Match] = []
+    for img_preds, img_gts, mat, assigns in passes:
+        assign = assigns[threshold]
+        for i, p in enumerate(img_preds[:max_dets]):
+            j = assign[i]
+            if j is None:
+                out.append(Match(pred=p, gt=None, iou=0.0))
+            else:
+                out.append(Match(pred=p, gt=img_gts[j], iou=float(mat[i, j])))
+    return out
+
+
+def _ranked(matches: list[Match]) -> list[Match]:
+    return sorted(matches, key=lambda m: _pred_sort_key(m.pred))
+
+
 def match_instances(
     preds: list[PredInstance],
     gts: list[GtInstance],
@@ -133,22 +174,9 @@ def match_instances(
 
     Ties on IoU break toward the lower (canonically ordered) GT index.
     """
-    if not 0 < iou_threshold < 1:
-        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
-    images = _group_by_image(preds, gts)
-    matches: list[Match] = []
-    for image_id in sorted(images, key=str):
-        img_preds, img_gts = images[image_id]
-        mat = _iou_matrix(img_preds, img_gts, resolution)
-        assign = _greedy_assign(mat, iou_threshold)
-        for i, p in enumerate(img_preds):
-            j = assign[i]
-            if j is None:
-                matches.append(Match(pred=p, gt=None, iou=0.0))
-            else:
-                matches.append(Match(pred=p, gt=img_gts[j], iou=float(mat[i, j])))
-    matches.sort(key=lambda m: _pred_sort_key(m.pred))
-    return matches
+    _check_threshold(iou_threshold)
+    passes = _image_passes(preds, gts, resolution, (iou_threshold,))
+    return _ranked(_matches(passes, iou_threshold))
 
 
 def average_precision(matches: list[Match], total_gt: int) -> float:
@@ -157,7 +185,7 @@ def average_precision(matches: list[Match], total_gt: int) -> float:
         raise ValueError(f"total_gt must be non-negative, got {total_gt}")
     if total_gt == 0:
         return 0.0 if matches else 1.0
-    ordered = sorted(matches, key=lambda m: _pred_sort_key(m.pred))
+    ordered = _ranked(matches)
     tp = np.cumsum([1 if m.gt is not None else 0 for m in ordered])
     ranks = np.arange(1, len(ordered) + 1)
     precision = tp / ranks
@@ -169,69 +197,51 @@ def average_precision(matches: list[Match], total_gt: int) -> float:
     return ap / 101.0
 
 
-def _suite_matrices(images: dict, resolution: int, threads: int) -> dict:
-    ids = sorted(images, key=str)
-
-    def job(image_id):
-        img_preds, img_gts = images[image_id]
-        return image_id, _iou_matrix(img_preds, img_gts, resolution)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(job, ids))
-    else:
-        results = dict(job(i) for i in ids)
-    return {i: results[i] for i in ids}  # ordered reduction by image id
-
-
 def coco_suite(
     preds: list[PredInstance],
     gts: list[GtInstance],
     resolution: int = 256,
     max_dets: int = 100,
-    threads: int = 1,
+    samples: int = 128,
+    match_iou: float = 0.5,
 ) -> MetricReport:
-    """AP/AR over IoU thresholds 0.50:0.05:0.95 plus their harmonic F1.
+    """The full metric report from one IoU pass per image.
 
-    At most `max_dets` top-scored detections per image are considered.
-    The polygonal fields of the returned report are left as None.
+    AP/AR over IoU thresholds 0.50:0.05:0.95 plus their harmonic F1 count at
+    most the `max_dets` top-scored predictions per image.  N ratio, C-IoU and
+    MTA are over every prediction matched at `match_iou`, with no `max_dets`
+    limit, and are None when nothing matches.
     """
-    images = _group_by_image(preds, gts)
-    for image_id in images:
-        img_preds, img_gts = images[image_id]
-        images[image_id] = (img_preds[:max_dets], img_gts)
-    matrices = _suite_matrices(images, resolution, threads)
-    total_gt = sum(len(v[1]) for v in images.values())
+    _check_threshold(match_iou)
+    thresholds = IOU_THRESHOLDS + (() if match_iou in IOU_THRESHOLDS else (match_iou,))
+    passes = _image_passes(preds, gts, resolution, thresholds)
+    total_gt = sum(len(img_gts) for _, img_gts, _, _ in passes)
 
     aps = []
     ars = []
     for thr in IOU_THRESHOLDS:
-        all_matches: list[Match] = []
-        tp_count = 0
-        for image_id, mat in matrices.items():
-            img_preds, img_gts = images[image_id]
-            assign = _greedy_assign(mat, thr)
-            for i, p in enumerate(img_preds):
-                j = assign[i]
-                if j is None:
-                    all_matches.append(Match(p, None, 0.0))
-                else:
-                    tp_count += 1
-                    all_matches.append(Match(p, img_gts[j], float(mat[i, j])))
+        all_matches = _matches(passes, thr, max_dets)
         aps.append(average_precision(all_matches, total_gt))
         if total_gt == 0:
             ars.append(0.0 if all_matches else 1.0)
         else:
-            ars.append(tp_count / total_gt)
+            ars.append(sum(m.gt is not None for m in all_matches) / total_gt)
 
     ap = float(np.mean(aps))
     ar = float(np.mean(ars))
     f1 = 0.0 if ap + ar == 0 else 2 * ap * ar / (ap + ar)
-    return MetricReport(
+    report = MetricReport(
         ap=ap, ap50=aps[0], ap75=aps[5],
         ar=ar, ar50=ars[0], ar75=ars[5],
         f1=f1, n_ratio=None, c_iou=None, mta=None,
     )
+    ranked = _ranked(_matches(passes, match_iou))
+    pairs = [(m.pred, m.gt, m.iou) for m in ranked if m.gt is not None]
+    if pairs:
+        report.n_ratio = n_ratio(pairs)
+        report.c_iou = c_iou(pairs, resolution=resolution)
+        report.mta = float(np.mean([mta(p.polygon, g.polygon, samples) for p, g, _ in pairs]))
+    return report
 
 
 def matched_pairs(
@@ -281,18 +291,14 @@ def _arc_table(p: Polygon) -> tuple[np.ndarray, np.ndarray, float]:
     return closed, cum, perimeter
 
 
-def _point_at_arc(closed: np.ndarray, cum: np.ndarray, s: float) -> np.ndarray:
-    idx = int(np.searchsorted(cum, s, side="right")) - 1
-    idx = min(idx, len(closed) - 2)
-    seg_len = cum[idx + 1] - cum[idx]
-    t = 0.0 if seg_len == 0 else (s - cum[idx]) / seg_len
-    return closed[idx] + t * (closed[idx + 1] - closed[idx])
-
-
 def _resample(p: Polygon, start_arc: float, samples: int) -> np.ndarray:
     closed, cum, perimeter = _arc_table(p)
     arcs = (start_arc + np.arange(samples) * perimeter / samples) % perimeter
-    return np.array([_point_at_arc(closed, cum, s) for s in arcs])
+    idx = np.minimum(np.searchsorted(cum, arcs, side="right") - 1, len(closed) - 2)
+    seg_len = cum[idx + 1] - cum[idx]
+    flat = seg_len == 0
+    t = np.where(flat, 0.0, (arcs - cum[idx]) / np.where(flat, 1.0, seg_len))
+    return closed[idx] + t[:, None] * (closed[idx + 1] - closed[idx])
 
 
 def _nearest_boundary_arc(p: Polygon, point: np.ndarray) -> tuple[float, float]:
@@ -355,13 +361,7 @@ def evaluate_instances(
     samples: int = 128,
     match_iou: float = 0.5,
     max_dets: int = 100,
-    threads: int = 1,
 ) -> MetricReport:
     """Full metric report; polygonal fields are None when nothing matches."""
-    report = coco_suite(preds, gts, resolution=resolution, max_dets=max_dets, threads=threads)
-    pairs = matched_pairs(preds, gts, iou_threshold=match_iou, resolution=resolution)
-    if pairs:
-        report.n_ratio = n_ratio(pairs)
-        report.c_iou = c_iou(pairs, resolution=resolution)
-        report.mta = float(np.mean([mta(p.polygon, g.polygon, samples) for p, g, _ in pairs]))
-    return report
+    return coco_suite(preds, gts, resolution=resolution, max_dets=max_dets,
+                      samples=samples, match_iou=match_iou)

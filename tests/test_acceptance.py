@@ -350,7 +350,7 @@ def test_criterion_8_determinism(tmp_path):
         e_out = tmp_path / f"eval{run_idx}.json"
         s_out = tmp_path / f"selftest{run_idx}.json"
         t_dir = tmp_path / f"train{run_idx}"
-        assert run("eval", gt, pred, "--out", e_out, "--threads", 1) == 0
+        assert run("eval", gt, pred, "--out", e_out) == 0
         assert run("selftest", "--out", s_out) == 0
         assert run("train-toy", "--corpus", corpus, "--out-dir", t_dir,
                    "--epochs", 1, "--batch-size", 4, "--grid", 8, "--channels", 16,

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -238,6 +239,26 @@ class TestTrainToy:
         summary = json.loads(capsys.readouterr().out)
         assert "eval" in summary and "held_out_sv" in summary
         assert (out / "eval.json").exists()
+
+    def test_empty_eval_corpus_exit_1_before_training(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        assert run("gen-synth", "--out-dir", corpus, "--images", 4, "--seed", 5,
+                   "--size", 32, "--max-shapes", 1, "--families", "rect") == 0
+        empty = tmp_path / "empty"
+        shutil.copytree(corpus, empty)
+        doc = json.loads((empty / "annotations.json").read_text())
+        doc["annotations"] = []
+        (empty / "annotations.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert run(
+            "train-toy", "--corpus", corpus, "--eval-corpus", empty,
+            "--out-dir", out, "--epochs", 1, "--batch-size", 4,
+            "--grid", 8, "--channels", 16, "--decoder-blocks", 1, "--queries", 6,
+        ) == 1
+        err = capsys.readouterr().err
+        assert str(empty) in err and "no annotations" in err
+        assert not out.exists()
 
 
 class TestVersionAndErrors:

@@ -164,6 +164,81 @@ class TestMaskIou:
             assert 0.0 <= v <= 1.0
 
 
+def rect(x0, y0, w, h):
+    return Polygon.from_points([(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)])
+
+
+def _joint_frame(a: Polygon, b: Polygon):
+    ax0, ay0, ax1, ay1 = a.bounds()
+    bx0, by0, bx1, by1 = b.bounds()
+    x0, y0 = min(ax0, bx0), min(ay0, by0)
+    w = max(ax1, bx1) - x0
+    h = max(ay1, by1) - y0
+    return x0, y0, w, h, max(w, h)
+
+
+def _joint_frame_iou(a: Polygon, b: Polygon, resolution: int) -> float:
+    """Slow oracle: rasterize both rings on polygon_iou's frame, never pruning."""
+    x0, y0, w, h, long_side = _joint_frame(a, b)
+    scale = resolution / long_side
+    width = max(1, int(math.ceil(w * scale - 1e-9)))
+    height = max(1, int(math.ceil(h * scale - 1e-9)))
+
+    def to_raster(p):
+        pts = [((v.x - x0) * scale, (v.y - y0) * scale) for v in p.vertices]
+        return rasterize(Polygon.from_points(pts), width, height)
+
+    return mask_iou(to_raster(a), to_raster(b))
+
+
+def _gap_exceeds_pixel(a: Polygon, b: Polygon, resolution: int) -> bool:
+    ax0, ay0, ax1, ay1 = a.bounds()
+    bx0, by0, bx1, by1 = b.bounds()
+    long_side = _joint_frame(a, b)[4]
+    return max(ax0 - bx1, bx0 - ax1, ay0 - by1, by0 - ay1) > long_side / resolution
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved by k units in the last place (toward +inf when k > 0)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.inf if k > 0 else -math.inf))
+    return x
+
+
+def _near_cases():
+    """(a, b, resolution, pruned, id) for 8x8 boxes about one raster pixel apart.
+
+    With resolution 17, boxes [0, 8] and [9, 17] make a 17-unit joint frame
+    whose pixel is exactly 1.0, so an offset of 9 is a gap of exactly one
+    pixel.  Moving the offset by a few ulps moves the gap far more than the
+    pixel, which puts the pair on either side of the pruning rule.
+    """
+    a = rect(0, 0, 8, 8)
+    half = 8 + 16 * 0.5 / (16 - 0.5)  # half a pixel of the 16-pixel frame
+    offsets = [
+        ("0.5px", half, 16, False),
+        ("1px", 9.0, 17, False),
+        ("1px-4ulp", _ulps(9.0, -4), 17, False),
+        ("1px+4ulp", _ulps(9.0, 4), 17, True),
+        ("2px", 8 + 16 * 2 / (17 - 2), 17, True),
+    ]
+    cases = [
+        (a, rect(3, 2, 8, 8), 16, False, "overlap"),
+        (a, rect(8, 0, 8, 8), 16, False, "touch-x"),
+        (a, rect(8, 8, 8, 8), 16, False, "touch-corner"),
+    ]
+    for name, off, res, pruned in offsets:
+        cases.append((a, rect(off, 0, 8, 8), res, pruned, f"x-only-{name}"))
+        cases.append((a, rect(0, off, 8, 8), res, pruned, f"y-only-{name}"))
+        cases.append((a, rect(off, off, 8, 8), res, pruned, f"both-{name}"))
+    # Apart on y only, while the x extents still overlap.
+    cases.append((a, rect(4, 17, 8, 8), 16, True, "y-only-far"))
+    return cases
+
+
+_NEAR_CASES = _near_cases()
+
+
 class TestPolygonIou:
     def test_identical(self):
         p = square(2, 3, 5)
@@ -181,6 +256,22 @@ class TestPolygonIou:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             polygon_iou(UNIT_SQUARE, UNIT_SQUARE, resolution=8)
+
+    @pytest.mark.parametrize("a, b, resolution, pruned, name", _NEAR_CASES,
+                             ids=[case[-1] for case in _NEAR_CASES])
+    def test_equals_rasterized_oracle(self, a, b, resolution, pruned, name):
+        assert _gap_exceeds_pixel(a, b, resolution) == pruned  # the case sits where intended
+        assert polygon_iou(a, b, resolution) == _joint_frame_iou(a, b, resolution)
+        assert polygon_iou(b, a, resolution) == _joint_frame_iou(b, a, resolution)
+
+    def test_touching_boxes_share_boundary_pixels(self):
+        # Both rings own the pixel column whose centers lie on the shared edge.
+        a = rect(0, 0, 8.5, 16)
+        b = rect(8.5, 0, 7.5, 16)
+        assert polygon_iou(a, b, 16) == _joint_frame_iou(a, b, 16) == 1 / 16
+        corner = polygon_iou(rect(0, 0, 8.5, 8.5), rect(8.5, 8.5, 7.5, 7.5), 16)
+        assert corner == 1 / (81 + 64 - 1)
+
 
 
 def _point_chain_distance(pt: Vertex2, chain: list[Vertex2]) -> float:

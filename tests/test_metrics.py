@@ -196,9 +196,19 @@ class TestCocoSuite:
             PredInstance(int(rng.randint(3)), square(rng.uniform(0, 30), rng.uniform(0, 30), rng.uniform(4, 9)), float(rng.rand()))
             for _ in range(6)
         ]
+        # Jittered copies of the ground truth, so the polygonal fields are set.
+        preds += [
+            PredInstance(g.image_id, g.polygon.translated(rng.uniform(-1, 1), rng.uniform(-1, 1)), float(rng.rand()))
+            for g in gts[:4]
+        ]
         base = coco_suite(preds, gts)
         perm = coco_suite(list(reversed(preds)), list(reversed(gts)))
         assert base.as_dict() == perm.as_dict()
+        full = evaluate_instances(preds, gts)
+        assert full.n_ratio is not None and full.mta is not None
+        assert evaluate_instances(list(reversed(preds)), list(reversed(gts))).as_dict() == full.as_dict()
+        shuffled = rng.permutation(len(preds))
+        assert evaluate_instances([preds[i] for i in shuffled], gts).as_dict() == full.as_dict()
 
     def test_ap_ar_non_increasing_in_threshold(self):
         rng = np.random.RandomState(2)
@@ -304,6 +314,20 @@ class TestEvaluateInstances:
         r = evaluate_instances(preds, gts)
         assert r.ap == 0.0
         assert r.n_ratio is None and r.c_iou is None and r.mta is None
+
+    def test_max_dets_limits_ap_ar_but_not_the_pairing(self):
+        # The only match is the image's second-ranked prediction.
+        gts = [GtInstance(1, square(0, 0, 8))]
+        preds = [
+            PredInstance(1, square(40, 40, 8), 0.9),
+            PredInstance(1, square_with_midpoints(0, 0, 8), 0.5),
+        ]
+        top1 = evaluate_instances(preds, gts, max_dets=1)
+        assert top1.ap == 0.0 and top1.ar == 0.0
+        assert top1.n_ratio == 2.0 and top1.c_iou == pytest.approx(2 / 3, abs=1e-9)
+        both = evaluate_instances(preds, gts, max_dets=2)
+        assert both.ap == 0.5 and both.ar == 1.0  # the false positive ranks first
+        assert (both.n_ratio, both.c_iou, both.mta) == (top1.n_ratio, top1.c_iou, top1.mta)
 
     def test_csv_round_trip_columns(self):
         r = MetricReport(1, 1, 1, 1, 1, 1, 1, None, None, None)
