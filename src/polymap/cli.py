@@ -115,17 +115,31 @@ def _head_config(args):
     )
 
 
+def _check_one_image_size(rasters: dict, corpus: str) -> None:
+    """The stem batches a corpus's images, so they must share one size."""
+    first = next(iter(rasters), None)
+    for name, arr in rasters.items():
+        (h, w), (h0, w0) = arr.shape, rasters[first].shape
+        if (h, w) != (h0, w0):
+            raise CocoFormatError(
+                f"corpus {corpus}: image {name} is {w}x{h}, but {first} is {w0}x{h0}; "
+                "train-toy needs images of one size"
+            )
+
+
 def cmd_train_toy(args) -> int:
     from .neural.checkpoint import save_checkpoint
     from .neural.training import corpus_samples, held_out_sv_loss, predict_batch, train_toy
 
     cfg = _head_config(args)
     doc, rasters = load_corpus(args.corpus)
+    _check_one_image_size(rasters, args.corpus)
     samples = corpus_samples(doc, rasters, cfg)
     if not samples:
         raise CocoFormatError(f"corpus {args.corpus} has no annotations")
     if args.eval_corpus:
         edoc, erasters = load_corpus(args.eval_corpus)
+        _check_one_image_size(erasters, args.eval_corpus)
         esamples = corpus_samples(edoc, erasters, cfg)
         if not esamples:
             raise CocoFormatError(f"eval corpus {args.eval_corpus} has no annotations")

@@ -46,12 +46,6 @@ class CocoDoc:
     def categories(self) -> list[dict]:
         return self.data.get("categories", [])
 
-    def image_by_id(self, image_id) -> dict:
-        for img in self.images:
-            if img.get("id") == image_id:
-                return img
-        raise CocoFormatError(f"image id {image_id} not found")
-
     def gt_instances(self) -> list[GtInstance]:
         return [
             GtInstance(image_id=a["image_id"], polygon=_annotation_polygon(a))

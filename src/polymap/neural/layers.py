@@ -143,27 +143,38 @@ def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
     return np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
 
 
-def _bilinear_tables(coords: np.ndarray, size: int):
-    """Index pairs and fractional weights for border-clamped bilinear sampling."""
+def _interpolation_matrix(coords: np.ndarray, size: int) -> np.ndarray:
+    """(G, size) weights averaging the border-clamped bilinear samples of each bin.
+
+    `coords` is (G, 2): the two sample positions of every bin along one axis.
+    """
     idx = np.clip(coords - 0.5, 0.0, size - 1.0)
     lo = np.floor(idx).astype(np.int64)
     lo = np.minimum(lo, max(size - 2, 0))
     frac = idx - lo
     hi = np.minimum(lo + 1, size - 1)
-    return lo, hi, frac
+    rows = np.repeat(np.arange(coords.shape[0]), coords.shape[1])
+    mat = np.zeros((coords.shape[0], size), dtype=np.float64)
+    np.add.at(mat, (rows, lo.ravel()), (1.0 - frac.ravel()) / 2.0)
+    np.add.at(mat, (rows, hi.ravel()), frac.ravel() / 2.0)
+    return mat
 
 
 def roi_align_stack(features: Tensor, rois: list[tuple[int, BBox]], out_size: int) -> Tensor:
     """Bilinear crop-and-resize of (N, C, H, W) features for a list of (image index, box).
 
-    Each output bin averages a 2x2 grid of bilinear samples; gradients flow
-    to the four neighbors of every sample.  Boxes must intersect the feature
-    extent; sample positions are clamped at the border.
+    Each output bin averages a 2x2 grid of bilinear samples.  That grid is a
+    tensor product, so one ROI is  A_y @ F[img, c] @ A_x.T  with (G, H) and
+    (G, W) interpolation matrices, and its feature gradient is
+    A_y.T @ g @ A_x.  Boxes must intersect the feature extent; sample
+    positions are clamped at the border.
     """
     if features.data.ndim != 4:
         raise ValueError(f"roi_align: expected (N, C, H, W) features, got {features.data.shape}")
     n, c, hf, wf = features.data.shape
     g = out_size
+    # Two samples per bin per axis, at the quarter points of each bin.
+    steps = np.arange(g)[:, None] + (np.arange(2)[None, :] + 0.5) / 2.0  # (G, 2)
     outputs = np.empty((len(rois), c, g, g), dtype=np.float64)
     tables = []
     for r, (img, box) in enumerate(rois):
@@ -172,47 +183,15 @@ def roi_align_stack(features: Tensor, rois: list[tuple[int, BBox]], out_size: in
         x0, y0, x1, y1 = box.corners()
         if x1 <= 0 or y1 <= 0 or x0 >= wf or y0 >= hf:
             raise ValueError(f"roi_align: box {box} does not intersect {wf}x{hf} feature")
-        # Two samples per bin per axis, at the quarter points of each bin.
-        steps = (np.arange(g)[:, None] + (np.arange(2)[None, :] + 0.5) / 2.0)
-        sx = x0 + steps * (box.w / g)  # (G, 2)
-        sy = y0 + steps * (box.h / g)
-        xlo, xhi, fx = _bilinear_tables(sx, wf)
-        ylo, yhi, fy = _bilinear_tables(sy, hf)
-        # Broadcast to the full (G, 2, G, 2) sample grid: y bins x y samples
-        # x x bins x x samples.
-        YL = ylo[:, :, None, None]
-        YH = yhi[:, :, None, None]
-        FY = fy[:, :, None, None]
-        XL = xlo[None, None, :, :]
-        XH = xhi[None, None, :, :]
-        FX = fx[None, None, :, :]
-        fmap = features.data[img]
-        val = (
-            fmap[:, YL, XL] * (1 - FY) * (1 - FX)
-            + fmap[:, YL, XH] * (1 - FY) * FX
-            + fmap[:, YH, XL] * FY * (1 - FX)
-            + fmap[:, YH, XH] * FY * FX
-        )
-        outputs[r] = val.mean(axis=(2, 4))
-        tables.append((img, YL, YH, XL, XH, FY, FX))
+        ay = _interpolation_matrix(y0 + steps * (box.h / g), hf)
+        ax = _interpolation_matrix(x0 + steps * (box.w / g), wf)
+        outputs[r] = (ay @ features.data[img]) @ ax.T
+        tables.append((img, ay, ax))
 
     def backward(grad):
         gf = np.zeros_like(features.data)
-        for r, (img, YL, YH, XL, XH, FY, FX) in enumerate(tables):
-            gr = grad[r][:, :, None, :, None] / 4.0  # (C, G, 1, G, 1) spread over samples
-            np.add.at(gf[img], (slice(None), YL, XL), gr * (1 - FY) * (1 - FX))
-            np.add.at(gf[img], (slice(None), YL, XH), gr * (1 - FY) * FX)
-            np.add.at(gf[img], (slice(None), YH, XL), gr * FY * (1 - FX))
-            np.add.at(gf[img], (slice(None), YH, XH), gr * FY * FX)
+        for r, (img, ay, ax) in enumerate(tables):
+            gf[img] += ay.T @ (grad[r] @ ax)
         _accum(features, gf)
 
     return _node(outputs, (features,), "roi_align", backward)
-
-
-def roi_align(feature: Tensor, box: BBox, out_size: int) -> Tensor:
-    """Single-instance crop: (C, H, W) feature to a (C, G, G) grid."""
-    if feature.data.ndim != 3:
-        raise ValueError(f"roi_align: expected (C, H, W) feature, got {feature.data.shape}")
-    batched = reshape(feature, (1,) + feature.shape)
-    out = roi_align_stack(batched, [(0, box)], out_size)
-    return reshape(out, out.shape[1:])

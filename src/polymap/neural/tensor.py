@@ -106,8 +106,12 @@ class Tensor:
         return matmul(self, other)
 
 
+def _needs_grad(t: Tensor) -> bool:
+    return t.requires_grad or t._backward is not None
+
+
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not (t.requires_grad or t._backward is not None):
+    if not _needs_grad(t):
         return
     t.grad = g if t.grad is None else t.grad + g
 
@@ -115,7 +119,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
           backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data, op=op)
-    if _GRAD_ENABLED[-1] and any(p.requires_grad or p._backward is not None for p in parents):
+    if _GRAD_ENABLED[-1] and any(_needs_grad(p) for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -279,7 +283,9 @@ def batch_norm(
             )
         axes = (0, 2, 3)
         mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        # Centre once; the centred array serves the variance and becomes x-hat.
+        xhat = x.data - mu.reshape(shape)
+        var = (xhat * xhat).mean(axis=axes)
         n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
         unbiased = var * (n / max(1, n - 1))
         running_mean *= 1.0 - momentum
@@ -287,16 +293,20 @@ def batch_norm(
         running_var *= 1.0 - momentum
         running_var += momentum * unbiased
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu.reshape(shape)) * inv.reshape(shape)
+        xhat *= inv.reshape(shape)
         data = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
 
         def backward(g):
-            _accum(gamma, (g * xhat).sum(axis=axes))
-            _accum(beta, g.sum(axis=axes))
-            dxhat = g * gamma.data.reshape(shape)
-            m1 = dxhat.mean(axis=axes).reshape(shape)
-            m2 = (dxhat * xhat).mean(axis=axes).reshape(shape)
-            _accum(x, inv.reshape(shape) * (dxhat - m1 - xhat * m2))
+            # The two channel sums serve the gamma, beta and input gradients.
+            sum_g = g.sum(axis=axes)
+            sum_gx = np.einsum("nchw,nchw->c", g, xhat)
+            _accum(gamma, sum_gx)
+            _accum(beta, sum_g)
+            dx = g * n
+            dx -= sum_g.reshape(shape)
+            dx -= xhat * sum_gx.reshape(shape)
+            dx *= (gamma.data * inv / n).reshape(shape)
+            _accum(x, dx)
 
         return _node(data, (x, gamma, beta), "batch_norm", backward)
 
@@ -343,6 +353,8 @@ def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         _accum(b, g.sum(axis=(0, 2, 3)))
         gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)  # (F, C*9)
         _accum(w, gw.reshape(f, c, 3, 3))
+        if not _needs_grad(x):  # e.g. the image under the first stem conv
+            return
         gcols = np.matmul(wm.T[None, :, :], gm)  # (N, C*9, H*W)
         gcols = gcols.reshape(n, c, 9, h, ww)
         gxp = np.zeros_like(xp)

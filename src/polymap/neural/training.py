@@ -174,7 +174,7 @@ def _sample_proposals(
     labels: list[int] = []
     positives: list[int] = []
     for i, s in enumerate(batch):
-        size = s.image.shape[-1]
+        height, width = s.image.shape[-2:]
         b = s.box
         for _ in range(20):
             w = b.w * rng.uniform(0.85, 1.15)
@@ -188,10 +188,10 @@ def _sample_proposals(
         rois.append((slots[i], pos))
         labels.append(1)
         for _ in range(10):
-            w = rng.uniform(6.0, max(8.0, size / 3))
-            h = rng.uniform(6.0, max(8.0, size / 3))
-            cx = rng.uniform(w / 2, size - w / 2)
-            cy = rng.uniform(h / 2, size - h / 2)
+            w = rng.uniform(6.0, max(8.0, width / 3))
+            h = rng.uniform(6.0, max(8.0, height / 3))
+            cx = rng.uniform(w / 2, width - w / 2)
+            cy = rng.uniform(h / 2, height - h / 2)
             neg = BBox(cx=cx, cy=cy, w=w, h=h)
             if _box_iou_xywh(neg, b) < 0.3:
                 break
@@ -219,12 +219,12 @@ def _detection_losses(
         value, grad = cls_loss_with_grad(labels, data[:, 0])
         return value, grad[:, None]
 
-    size = float(batch[0].image.shape[-1])
     targets = np.zeros((n, 4))
     mask = np.zeros((n, 1))
     for i, s in enumerate(batch):
         r = positives[i]
-        targets[r] = (s.box.cx / size, s.box.cy / size, s.box.w / size, s.box.h / size)
+        height, width = s.image.shape[-2:]
+        targets[r] = (s.box.cx / width, s.box.cy / height, s.box.w / width, s.box.h / height)
         mask[r] = 1.0
     n_pos = int(mask.sum())
 

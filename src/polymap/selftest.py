@@ -1,7 +1,8 @@
 """Built-in verification checks runnable from the CLI.
 
 The naive reference implementations here are deliberately written with
-plain Python lists and loops, independent of the numpy paths they verify.
+plain Python lists and loops, or per-sample gathers and scatters,
+independent of the fast numpy paths they verify.
 Each check returns a (name, passed, detail) record; `run_selftest` drives
 the whole suite and can inject a deliberately corrupted gradient to prove
 the harness catches it.
@@ -70,6 +71,47 @@ def naive_exhaustive_loss(
         rev = [rot[0]] + rot[1:k][::-1] + list(rot[k:])
         best = min(best, cross_entropy(rot), cross_entropy(rev))
     return best
+
+
+def naive_roi_align(
+    features: np.ndarray, rois: list, out_size: int, upstream: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference ROI align by per-sample gathers and `np.add.at` scatters.
+
+    Returns the (R, C, G, G) crops of the (N, C, H, W) `features` and the
+    gradient of sum(crops * upstream) with respect to `features`.
+    """
+    _, c, hf, wf = features.shape
+    g = out_size
+
+    def tables(coords, size):
+        idx = np.clip(coords - 0.5, 0.0, size - 1.0)
+        lo = np.minimum(np.floor(idx).astype(np.int64), max(size - 2, 0))
+        return lo, np.minimum(lo + 1, size - 1), idx - lo
+
+    values = np.empty((len(rois), c, g, g))
+    grad = np.zeros_like(features)
+    for r, (img, box) in enumerate(rois):
+        x0, y0, _, _ = box.corners()
+        # Two samples per bin per axis, at the quarter points of each bin.
+        steps = np.arange(g)[:, None] + (np.arange(2)[None, :] + 0.5) / 2.0
+        xlo, xhi, fx = tables(x0 + steps * (box.w / g), wf)
+        ylo, yhi, fy = tables(y0 + steps * (box.h / g), hf)
+        # The full (G, 2, G, 2) sample grid: y bins, y samples, x bins, x samples.
+        YL, YH, FY = (t[:, :, None, None] for t in (ylo, yhi, fy))
+        XL, XH, FX = (t[None, None, :, :] for t in (xlo, xhi, fx))
+        corners = [
+            (YL, XL, 1 - FY, 1 - FX),
+            (YL, XH, 1 - FY, FX),
+            (YH, XL, FY, 1 - FX),
+            (YH, XH, FY, FX),
+        ]
+        fmap = features[img]
+        values[r] = sum(fmap[:, ys, xs] * wy * wx for ys, xs, wy, wx in corners).mean(axis=(2, 4))
+        gr = upstream[r][:, :, None, :, None] / 4.0  # spread over the 2x2 samples
+        for ys, xs, wy, wx in corners:
+            np.add.at(grad[img], (slice(None), ys, xs), gr * wy * wx)
+    return values, grad
 
 
 @dataclass

@@ -3,7 +3,7 @@ import pytest
 
 from polymap.geometry import BBox
 from polymap.neural.gradcheck import finite_difference_check
-from polymap.neural.layers import roi_align, roi_align_stack
+from polymap.neural.layers import roi_align_stack
 from polymap.neural.tensor import (
     Tensor,
     add,
@@ -26,6 +26,7 @@ from polymap.neural.tensor import (
     sum_all,
     transpose,
 )
+from polymap.selftest import naive_roi_align
 
 TOL = 1e-5
 
@@ -197,6 +198,16 @@ class TestOpGradients:
         m = Tensor(np.random.RandomState(96).randn(2, 3, 4, 4))
         self.check(lambda: sum_all(mul(conv2d_3x3(x, w, b), m)), {"x": x, "w": w, "b": b})
 
+    def test_conv3x3_constant_input(self):
+        # The first stem conv reads the image, which takes no gradient.
+        rng = np.random.RandomState(23)
+        x = Tensor(rng.uniform(0.0, 1.0, size=(2, 1, 5, 4)))
+        w = leaf(rng, 3, 1, 3, 3)
+        b = leaf(rng, 3)
+        m = Tensor(np.random.RandomState(93).randn(2, 3, 5, 4))
+        self.check(lambda: sum_all(mul(conv2d_3x3(x, w, b), m)), {"w": w, "b": b})
+        assert x.grad is None
+
     def test_conv1x1(self):
         rng = np.random.RandomState(16)
         x = leaf(rng, 2, 3, 4, 4)
@@ -232,37 +243,42 @@ class TestOpGradients:
 
 
 class TestRoiAlign:
+    ORACLE_ATOL = 1e-12
+
+    @staticmethod
+    def single(feature, box, g):
+        """One ROI over a (C, H, W) feature, as a (C, G, G) array."""
+        f = Tensor(feature[None], requires_grad=True)
+        return roi_align_stack(f, [(0, box)], g).data[0]
+
     def test_constant_feature(self):
-        f = Tensor(np.full((2, 8, 8), 5.0), requires_grad=True)
-        out = roi_align(f, BBox.from_xywh(1.3, 2.1, 4.4, 3.7), 4)
+        out = self.single(np.full((2, 8, 8), 5.0), BBox.from_xywh(1.3, 2.1, 4.4, 3.7), 4)
         assert out.shape == (2, 4, 4)
-        assert np.allclose(out.data, 5.0)
+        assert np.allclose(out, 5.0)
 
     def test_integer_box_on_linear_ramp_is_exact_crop(self):
         # Bilinear sampling reproduces a linear ramp exactly, so the 2x2
         # sample average equals the pixel value for an integer-snapped box.
         ramp = np.add.outer(np.arange(8.0), 2.0 * np.arange(8.0))[None, :, :]
-        f = Tensor(ramp, requires_grad=True)
-        out = roi_align(f, BBox.from_xywh(2, 1, 4, 4), 4)
-        assert np.allclose(out.data[0], ramp[0, 1:5, 2:6], atol=1e-12)
+        out = self.single(ramp, BBox.from_xywh(2, 1, 4, 4), 4)
+        assert np.allclose(out[0], ramp[0, 1:5, 2:6], atol=1e-12)
 
     def test_fractional_box_on_ramp_hits_bin_centers(self):
         ramp = np.add.outer(3.0 * np.arange(10.0), np.arange(10.0))[None, :, :]
-        f = Tensor(ramp)
         box = BBox.from_xywh(1.6, 2.3, 5.0, 4.0)
         g = 5
-        out = roi_align(f, box, g)
+        out = self.single(ramp, box, g)
         x0, y0, _, _ = box.corners()
         for i in range(g):
             for j in range(g):
                 cx = x0 + (j + 0.5) * box.w / g
                 cy = y0 + (i + 0.5) * box.h / g
-                assert out.data[0, i, j] == pytest.approx(3.0 * (cy - 0.5) + (cx - 0.5), abs=1e-9)
+                assert out[0, i, j] == pytest.approx(3.0 * (cy - 0.5) + (cx - 0.5), abs=1e-9)
 
     def test_empty_intersection_rejected(self):
-        f = Tensor(np.zeros((1, 4, 4)))
+        f = Tensor(np.zeros((1, 1, 4, 4)))
         with pytest.raises(ValueError, match="intersect"):
-            roi_align(f, BBox.from_xywh(10, 10, 2, 2), 2)
+            roi_align_stack(f, [(0, BBox.from_xywh(10, 10, 2, 2))], 2)
 
     def test_gradients(self):
         rng = np.random.RandomState(20)
@@ -275,6 +291,57 @@ class TestRoiAlign:
             rng=np.random.RandomState(21),
         )
         assert err < TOL
+
+    def check_against_oracle(self, shape, rois, g, seed):
+        rng = np.random.RandomState(seed)
+        f = Tensor(rng.uniform(-1.0, 1.0, size=shape), requires_grad=True)
+        upstream = rng.uniform(-1.0, 1.0, size=(len(rois), shape[1], g, g))
+        out = roi_align_stack(f, rois, g)
+        sum_all(mul(out, Tensor(upstream))).backward()
+        want, want_grad = naive_roi_align(f.data, rois, g, upstream)
+        assert out.shape == want.shape
+        assert np.abs(out.data - want).max() <= self.ORACLE_ATOL
+        assert np.abs(f.grad - want_grad).max() <= self.ORACLE_ATOL
+
+    @pytest.mark.parametrize("g", [7, 20])
+    def test_oracle_boxes_over_every_border(self, g):
+        # 9x11 feature: boxes hang over the left, right, top, bottom and
+        # every corner, and one covers the whole map with room to spare.
+        rois = [
+            (0, BBox.from_xywh(-2.5, 3.1, 4.0, 2.2)),
+            (0, BBox.from_xywh(8.3, 2.0, 5.1, 3.0)),
+            (1, BBox.from_xywh(2.2, -3.4, 3.3, 4.5)),
+            (1, BBox.from_xywh(4.1, 6.6, 2.9, 5.0)),
+            (0, BBox.from_xywh(-1.7, -2.2, 3.0, 3.1)),
+            (1, BBox.from_xywh(9.2, 7.4, 4.0, 4.0)),
+            (0, BBox.from_xywh(-1.2, 7.9, 2.5, 3.3)),
+            (1, BBox.from_xywh(10.4, -0.9, 1.3, 2.0)),
+            (1, BBox.from_xywh(-3.0, -3.0, 17.0, 15.0)),
+        ]
+        self.check_against_oracle((2, 3, 9, 11), rois, g, seed=30 + g)
+
+    @pytest.mark.parametrize("g", [7, 20])
+    @pytest.mark.parametrize("hw", [(1, 1), (1, 5), (5, 1), (2, 2), (2, 6), (6, 2)])
+    def test_oracle_thin_feature_maps(self, hw, g):
+        h, w = hw
+        rois = [
+            (0, BBox.from_xywh(0.2, 0.1, w - 0.3, h - 0.15)),
+            (0, BBox.from_xywh(-0.8, -0.6, w + 1.5, h + 1.1)),
+            (0, BBox.from_xywh(w - 0.4, h - 0.3, 1.7, 0.9)),
+        ]
+        self.check_against_oracle((1, 2, h, w), rois, g, seed=40 + h + 10 * w)
+
+    @pytest.mark.parametrize("g", [7, 20])
+    def test_oracle_many_rois_on_shared_and_separate_images(self, g):
+        rng = np.random.RandomState(50 + g)
+        rois = [
+            (int(rng.randint(3)),
+             BBox.from_xywh(rng.uniform(-2.0, 14.0), rng.uniform(-2.0, 10.0),
+                            rng.uniform(2.5, 9.0), rng.uniform(2.5, 9.0)))
+            for _ in range(12)
+        ]
+        rois += [(2, BBox.from_xywh(3.0, 2.0, 5.0, 4.0))] * 2  # the same box twice
+        self.check_against_oracle((3, 4, 12, 16), rois, g, seed=60 + g)
 
 
 class TestCorruption:

@@ -139,13 +139,14 @@ class TestSelftest:
         assert len(payload["checks"]) >= 20
         assert all("name" in c and "passed" in c for c in payload["checks"])
 
-    def test_corrupted_gradient_detected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("op", ["sigmoid", "roi_align", "batch_norm", "conv2d_3x3"])
+    def test_corrupted_gradient_detected(self, tmp_path, capsys, op):
         out = tmp_path / "report.json"
-        assert run("selftest", "--out", out, "--corrupt-gradient", "sigmoid") == 2
+        assert run("selftest", "--out", out, "--corrupt-gradient", op) == 2
         payload = json.loads(out.read_text())
         failing = [c["name"] for c in payload["checks"] if not c["passed"]]
-        assert "gradients_sigmoid" in failing
-        assert "gradients_sigmoid" in capsys.readouterr().err
+        assert f"gradients_{op}" in failing
+        assert f"gradients_{op}" in capsys.readouterr().err
 
 
 class TestSimplify:
@@ -258,6 +259,28 @@ class TestTrainToy:
         ) == 1
         err = capsys.readouterr().err
         assert str(empty) in err and "no annotations" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--corpus", "--eval-corpus"])
+    def test_mixed_image_sizes_exit_1_before_training(self, tmp_path, capsys, flag):
+        corpus = tmp_path / "c"
+        assert run("gen-synth", "--out-dir", corpus, "--images", 3, "--seed", 5,
+                   "--size", 64, "--max-shapes", 1, "--families", "rect") == 0
+        mixed = tmp_path / "mixed"
+        shutil.copytree(corpus, mixed)
+        odd = sorted((mixed / "images").glob("*.pgm"))[1]
+        write_pgm(odd, np.zeros((48, 48), dtype=np.uint8))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        corpora = {"--corpus": corpus, "--eval-corpus": corpus, flag: mixed}
+        assert run(
+            "train-toy", "--corpus", corpora["--corpus"],
+            "--eval-corpus", corpora["--eval-corpus"],
+            "--out-dir", out, "--epochs", 1, "--batch-size", 4,
+            "--grid", 8, "--channels", 16, "--decoder-blocks", 1, "--queries", 6,
+        ) == 1
+        err = capsys.readouterr().err
+        assert str(mixed) in err and odd.name in err and "48x48" in err
         assert not out.exists()
 
 

@@ -6,7 +6,9 @@ import pytest
 from polymap.geometry import BBox, Polygon, rasterize
 from polymap.neural.head import PolygonHeadConfig, init_model
 from polymap.neural.training import (
+    _sample_proposals,
     build_sample,
+    compute_losses,
     corpus_samples,
     decode_prediction,
     held_out_sv_loss,
@@ -101,6 +103,29 @@ class TestTrainStep:
         assert b.cls > 0.0
         assert b.bbox > 0.0
         assert b.total >= b.sv
+
+    def test_detection_branch_on_non_square_image(self):
+        # 96 wide, 24 high: proposals and box targets follow each axis.
+        cfg = tiny_cfg()
+        poly = Polygon.from_points([(60, 5), (80, 5), (80, 19), (60, 19)])
+        sample = build_sample(rasterize(poly, 96, 24).bits * 255.0, poly, cfg)
+        assert sample.image.shape == (1, 24, 96)
+        rng = np.random.RandomState(0)
+        for _ in range(40):
+            rois, labels, _ = _sample_proposals([sample], [0], rng)
+            (_, neg), = [r for r, label in zip(rois, labels) if label == 0]
+            x0, y0, x1, y1 = neg.corners()
+            assert 0.0 <= x0 and x1 <= 96.0 and 0.0 <= y0 and y1 <= 24.0
+        store = init_model(cfg, seed=0, detection=True)
+        rng = np.random.RandomState(1)
+        for _ in range(40):
+            b = train_step_detailed([sample], store, cfg, lr=1e-3, detection_rng=rng)
+            assert np.isfinite(b.bbox) and b.bbox > 0.0
+        # A box head that outputs (cx/W, cy/H, w/W, h/H) has zero box loss.
+        store["det.bbox.w"].data[:] = 0.0
+        store["det.bbox.b"].data[:] = (70 / 96, 12 / 24, 20 / 96, 14 / 24)
+        _, b = compute_losses(store, cfg, [sample], detection_rng=rng)
+        assert b.bbox == pytest.approx(0.0, abs=1e-12)
 
 
 class TestOverfitAndDecode:
