@@ -26,7 +26,7 @@ from .dataio import (
     save_corpus,
     serialize_coco,
 )
-from .geometry import BBox, Polygon, RasterMask, marching_squares, signed_area, simplify_polygon
+from .geometry import BBox, RasterMask, marching_squares, signed_area, simplify_polygon
 from .metrics import GtInstance, MetricReport, PredInstance, evaluate_instances
 from .polyloss import LossWeights
 from .selftest import run_selftest
@@ -36,10 +36,6 @@ EXIT_VALIDATION = 1
 EXIT_CHECK_FAILURE = 2
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -47,11 +43,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_doc(path: str) -> CocoDoc:
+def _load_doc(path: str) -> tuple[CocoDoc, str]:
+    """The parsed document and the SHA-256 of the bytes it was parsed from."""
     p = Path(path)
     if not p.exists():
         raise CocoFormatError(f"input file not found: {path}")
-    return parse_coco(p.read_bytes())
+    raw = p.read_bytes()
+    return parse_coco(raw), hashlib.sha256(raw).hexdigest()
 
 
 def _report_json(report: MetricReport, meta: dict) -> str:
@@ -61,8 +59,8 @@ def _report_json(report: MetricReport, meta: dict) -> str:
 
 
 def cmd_eval(args) -> int:
-    gt_doc = _load_doc(args.gt)
-    pred_doc = _load_doc(args.pred)
+    gt_doc, gt_sha = _load_doc(args.gt)
+    pred_doc, pred_sha = _load_doc(args.pred)
     gts = gt_doc.gt_instances()
     preds = pred_doc.pred_instances()
     report = evaluate_instances(
@@ -78,7 +76,7 @@ def cmd_eval(args) -> int:
     meta = {
         "tool_version": __version__,
         "seed": args.seed,
-        "inputs": {args.gt: _sha256(Path(args.gt)), args.pred: _sha256(Path(args.pred))},
+        "inputs": {args.gt: gt_sha, args.pred: pred_sha},
     }
     if args.format == "json":
         _emit(_report_json(report, meta), args.out)
@@ -218,12 +216,9 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_simplify(args) -> int:
-    doc = _load_doc(args.input)
+    doc, _ = _load_doc(args.input)
     out_annotations = []
-    for a in doc.annotations:
-        seg = a["segmentation"]
-        flat = seg[0] if isinstance(seg[0], list) else seg
-        poly = Polygon.from_flat(flat)
+    for a, poly in zip(doc.annotations, doc.annotation_polygons()):
         simple = simplify_polygon(poly, args.epsilon)
         entry = dict(a)
         entry["segmentation"] = [simple.to_flat()]

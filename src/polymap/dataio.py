@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,14 @@ class CocoFormatError(ValueError):
 
 @dataclass
 class CocoDoc:
-    """Validated view over a COCO-style dict; `data` preserves unknown fields."""
+    """Validated view over a COCO-style dict; `data` preserves unknown fields.
+
+    `polygons` holds each annotation's polygon as `parse_coco` built it while
+    validating; documents built in code leave it None.
+    """
 
     data: dict
+    polygons: list[Polygon] | None = field(default=None, repr=False, compare=False)
 
     @property
     def images(self) -> list[dict]:
@@ -46,37 +51,47 @@ class CocoDoc:
     def categories(self) -> list[dict]:
         return self.data.get("categories", [])
 
+    def annotation_polygons(self) -> list[Polygon]:
+        """One polygon per annotation, in annotation order."""
+        if self.polygons is not None:
+            return self.polygons
+        return [_annotation_polygon(a) for a in self.annotations]
+
     def gt_instances(self) -> list[GtInstance]:
         return [
-            GtInstance(image_id=a["image_id"], polygon=_annotation_polygon(a))
-            for a in self.annotations
+            GtInstance(image_id=a["image_id"], polygon=poly)
+            for a, poly in zip(self.annotations, self.annotation_polygons())
         ]
 
     def pred_instances(self) -> list[PredInstance]:
         out = []
-        for a in self.annotations:
+        for a, poly in zip(self.annotations, self.annotation_polygons()):
             if "score" not in a:
                 raise CocoFormatError(
                     f"annotation {a.get('id')} has no score; predictions require one"
                 )
-            out.append(
-                PredInstance(
-                    image_id=a["image_id"],
-                    polygon=_annotation_polygon(a),
-                    score=float(a["score"]),
-                )
-            )
+            out.append(PredInstance(image_id=a["image_id"], polygon=poly, score=float(a["score"])))
         return out
 
 
 def _annotation_polygon(a: dict) -> Polygon:
+    aid = a.get("id")
     seg = a.get("segmentation")
+    if isinstance(seg, list) and seg and isinstance(seg[0], list):
+        if len(seg) > 1:
+            raise CocoFormatError(
+                f"annotation {aid}: segmentation has {len(seg)} rings; "
+                "only single-ring polygons are supported"
+            )
+        seg = seg[0]
+    if not isinstance(seg, list) or len(seg) % 2 != 0 or len(seg) < 6:
+        raise CocoFormatError(
+            f"annotation {aid}: segmentation must be a flat even-length list of >= 6 numbers"
+        )
     try:
-        if isinstance(seg, list) and seg and isinstance(seg[0], list):
-            seg = seg[0]
         return Polygon.from_flat(seg)
     except (TypeError, ValueError) as exc:
-        raise CocoFormatError(f"annotation {a.get('id')}: bad segmentation ({exc})") from exc
+        raise CocoFormatError(f"annotation {aid}: bad segmentation ({exc})") from exc
 
 
 def parse_coco(raw: bytes | str) -> CocoDoc:
@@ -98,19 +113,13 @@ def parse_coco(raw: bytes | str) -> CocoDoc:
         if img["id"] in image_ids:
             raise CocoFormatError(f"duplicate image id {img['id']}")
         image_ids.add(img["id"])
+    polygons = []
     for a in data.get("annotations", []):
         aid = a.get("id")
         if a.get("image_id") not in image_ids:
             raise CocoFormatError(f"annotation {aid}: image_id {a.get('image_id')} not found")
-        seg = a.get("segmentation")
-        if isinstance(seg, list) and seg and isinstance(seg[0], list):
-            seg = seg[0]
-        if not isinstance(seg, list) or len(seg) % 2 != 0 or len(seg) < 6:
-            raise CocoFormatError(
-                f"annotation {aid}: segmentation must be a flat even-length list of >= 6 numbers"
-            )
-        _annotation_polygon(a)
-    return CocoDoc(data=data)
+        polygons.append(_annotation_polygon(a))
+    return CocoDoc(data=data, polygons=polygons)
 
 
 def serialize_coco(doc: CocoDoc) -> bytes:
@@ -232,8 +241,8 @@ def tile_dataset(doc: CocoDoc, spec: TileSpec) -> CocoDoc:
     next_image_id = 1
     next_ann_id = 1
     by_image: dict = {}
-    for a in doc.annotations:
-        by_image.setdefault(a["image_id"], []).append(a)
+    for a, poly in zip(doc.annotations, doc.annotation_polygons()):
+        by_image.setdefault(a["image_id"], []).append((a, poly))
 
     for img in doc.images:
         xs = tile_positions(int(img["width"]), spec.tile_size, stride)
@@ -254,10 +263,8 @@ def tile_dataset(doc: CocoDoc, spec: TileSpec) -> CocoDoc:
                         "tile_y": ty,
                     }
                 )
-                for a in by_image.get(img["id"], []):
-                    clipped = _clip_to_tile(
-                        _annotation_polygon(a), tx, ty, spec.tile_size, spec.min_area_fraction
-                    )
+                for a, poly in by_image.get(img["id"], []):
+                    clipped = _clip_to_tile(poly, tx, ty, spec.tile_size, spec.min_area_fraction)
                     if clipped is None:
                         continue
                     entry = {

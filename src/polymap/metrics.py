@@ -1,7 +1,7 @@
 """Polygonal instance evaluation: COCO-style AP/AR/F1 plus shape-quality metrics.
 
 Matching is greedy in descending score with IoUs computed by polygon
-rasterization, one IoU matrix per image reused at every threshold.
+rasterization, one batched IoU matrix per image reused at every threshold.
 Vertex-count ratio, complexity-aware IoU and the maximum tangent-angle error
 are computed over the pairs matched at IoU 0.5.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Polygon, normalize_orientation, polygon_iou
+from .geometry import Polygon, normalize_orientation, polygon_ious
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 REPORT_COLUMNS = ("ap", "ap50", "ap75", "ar", "ar50", "ar75", "f1", "n_ratio", "c_iou", "mta")
@@ -92,11 +92,8 @@ def _group_by_image(preds, gts):
 
 
 def _iou_matrix(preds, gts, resolution: int) -> np.ndarray:
-    mat = np.zeros((len(preds), len(gts)))
-    for i, p in enumerate(preds):
-        for j, g in enumerate(gts):
-            mat[i, j] = polygon_iou(p.polygon, g.polygon, resolution)
-    return mat
+    pairs = [(p.polygon, g.polygon) for p in preds for g in gts]
+    return polygon_ious(pairs, resolution).reshape(len(preds), len(gts))
 
 
 def _greedy_assign(iou_mat: np.ndarray, threshold: float) -> list[int | None]:
@@ -239,7 +236,7 @@ def coco_suite(
     pairs = [(m.pred, m.gt, m.iou) for m in ranked if m.gt is not None]
     if pairs:
         report.n_ratio = n_ratio(pairs)
-        report.c_iou = c_iou(pairs, resolution=resolution)
+        report.c_iou = c_iou(pairs)
         report.mta = float(np.mean([mta(p.polygon, g.polygon, samples) for p, g, _ in pairs]))
     return report
 
@@ -267,7 +264,7 @@ def n_ratio(pairs: list[tuple[PredInstance, GtInstance, float]]) -> float:
     return pred_total / gt_total
 
 
-def c_iou(pairs: list[tuple[PredInstance, GtInstance, float]], resolution: int = 256) -> float:
+def c_iou(pairs: list[tuple[PredInstance, GtInstance, float]]) -> float:
     """Mean over pairs of IoU discounted by the relative vertex-count difference."""
     if not pairs:
         raise ValueError("c_iou is undefined without matched pairs (not zero)")

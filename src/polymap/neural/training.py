@@ -82,17 +82,15 @@ def build_sample(image: np.ndarray, polygon: Polygon, cfg: PolygonHeadConfig) ->
 
 def corpus_samples(doc, rasters: dict[str, np.ndarray], cfg: PolygonHeadConfig) -> list[TrainSample]:
     """Build one sample per annotation, sharing a normalized array per image."""
-    from ..dataio import _annotation_polygon  # local import avoids a cycle
-
     shared = {
         name: np.ascontiguousarray(arr, dtype=np.float64)[None, :, :] / 255.0
         for name, arr in rasters.items()
     }
     names = {img["id"]: img["file_name"] for img in doc.images}
     samples = []
-    for a in doc.annotations:
+    for a, polygon in zip(doc.annotations, doc.annotation_polygons()):
         image = shared[names[a["image_id"]]]
-        samples.append(build_sample(image, _annotation_polygon(a), cfg))
+        samples.append(build_sample(image, polygon, cfg))
     return samples
 
 

@@ -114,6 +114,61 @@ def naive_roi_align(
     return values, grad
 
 
+def _on_segment_mask(xs: np.ndarray, ys: np.ndarray, p1, p2) -> np.ndarray:
+    """Boolean grid of (ys, xs) points lying exactly on segment p1-p2."""
+    x1, y1 = p1
+    x2, y2 = p2
+    gx = xs[None, :]
+    gy = ys[:, None]
+    cross = (x2 - x1) * (gy - y1) - (y2 - y1) * (gx - x1)
+    in_x = (gx >= min(x1, x2)) & (gx <= max(x1, x2))
+    in_y = (gy >= min(y1, y2)) & (gy <= max(y1, y2))
+    return (cross == 0.0) & in_x & in_y
+
+
+def naive_rasterize(p, width: int, height: int):
+    """Reference `rasterize`: one full-row parity XOR and one on-edge grid per edge."""
+    from .geometry import RasterMask
+
+    if width <= 0 or height <= 0:
+        raise ValueError(f"raster dimensions must be positive, got {width}x{height}")
+    arr = p.as_array()
+    n = arr.shape[0]
+    xs = np.arange(width, dtype=np.float64) + 0.5
+    ys = np.arange(height, dtype=np.float64) + 0.5
+    inside = np.zeros((height, width), dtype=np.bool_)
+
+    # Parity of edge crossings along the +x ray from each pixel center.
+    for i in range(n):
+        x1, y1 = arr[i]
+        x2, y2 = arr[(i + 1) % n]
+        if y1 == y2:
+            continue
+        # Half-open span so a vertex shared by two edges is counted once.
+        rows = (ys >= min(y1, y2)) & (ys < max(y1, y2))
+        if not rows.any():
+            continue
+        t = (ys[rows] - y1) / (y2 - y1)
+        x_cross = x1 + t * (x2 - x1)
+        inside[rows] ^= xs[None, :] < x_cross[:, None]
+
+    # Boundary rule: centers exactly on any edge are inside.  Restrict the
+    # exact test to each edge's bounding rows/cols to keep it cheap.
+    for i in range(n):
+        p1 = arr[i]
+        p2 = arr[(i + 1) % n]
+        lo_c = max(0, int(math.floor(min(p1[0], p2[0]) - 0.5)))
+        hi_c = min(width, int(math.ceil(max(p1[0], p2[0]) + 0.5)) + 1)
+        lo_r = max(0, int(math.floor(min(p1[1], p2[1]) - 0.5)))
+        hi_r = min(height, int(math.ceil(max(p1[1], p2[1]) + 0.5)) + 1)
+        if lo_c >= hi_c or lo_r >= hi_r:
+            continue
+        sub = _on_segment_mask(xs[lo_c:hi_c], ys[lo_r:hi_r], p1, p2)
+        inside[lo_r:hi_r, lo_c:hi_c] |= sub
+
+    return RasterMask(width=width, height=height, bits=inside)
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -347,6 +402,31 @@ def check_metric_hand_cases() -> list[CheckResult]:
     return results
 
 
+def check_rasterize_vs_naive(rng: np.random.RandomState, trials: int = 60) -> CheckResult:
+    """`rasterize` against `naive_rasterize`, bit for bit, on random rings.
+
+    Every other ring has its vertices on the half-pixel lattice, so its edges
+    run through pixel centers; rings may self-intersect and leave the frame.
+    """
+    from .geometry import Polygon, rasterize
+
+    tried = differ = 0
+    for i in range(trials):
+        k = int(rng.randint(3, 9))
+        if i % 2 == 0:
+            pts = rng.randint(-2, 35, size=(k, 2)) / 2.0
+        else:
+            pts = rng.uniform(-2.0, 18.0, size=(k, 2))
+        try:
+            poly = Polygon.from_points(pts)
+        except ValueError:  # a repeated vertex or zero area
+            continue
+        w, h = int(rng.randint(1, 18)), int(rng.randint(1, 18))
+        tried += 1
+        differ += not np.array_equal(rasterize(poly, w, h).bits, naive_rasterize(poly, w, h).bits)
+    return CheckResult("rasterize_vs_naive", differ == 0, f"{differ} of {tried} rings differ")
+
+
 def check_tiling_arithmetic() -> CheckResult:
     from .dataio import TileSpec, tile_positions
 
@@ -383,5 +463,6 @@ def run_selftest(corrupt_op: str | None = None) -> tuple[bool, list[CheckResult]
             results.append(check_roi_align(rng))
             results.append(check_full_graph_gradients(rng))
     results.extend(check_metric_hand_cases())
+    results.append(check_rasterize_vs_naive(rng))
     results.append(check_tiling_arithmetic())
     return all(r.passed for r in results), results

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shutil
@@ -57,7 +58,9 @@ class TestEval:
         assert payload["f1"] == 1.0
         assert payload["n_ratio"] == 1.0
         assert payload["meta"]["tool_version"]
-        assert set(payload["meta"]["inputs"]) == {str(gt), str(pred)}
+        assert payload["meta"]["inputs"] == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in (gt, pred)
+        }
 
     def test_empty_predictions_null_polygonal(self, corpus, tmp_path, capsys):
         gt = corpus / "annotations.json"
@@ -119,6 +122,18 @@ class TestEval:
         assert relaxed["n_ratio"] == 1.0
         assert abs(relaxed["c_iou"] - 1 / 3) <= 0.02
         assert abs(relaxed["mta"] - math.pi / 2) <= 0.05
+
+    def test_multi_ring_segmentation_exit_1(self, corpus, tmp_path, capsys):
+        gt = corpus / "annotations.json"
+        doc = json.loads(make_pred_file(tmp_path, gt).read_text())
+        first = doc["annotations"][0]
+        first["segmentation"].append([0, 0, 4, 0, 4, 4, 0, 4])
+        pred = tmp_path / "two_rings.json"
+        pred.write_text(json.dumps(doc))
+        assert run("eval", gt, pred) == 1
+        assert f"annotation {first['id']}: segmentation has 2 rings" in capsys.readouterr().err
+        assert run("simplify", pred, "--epsilon", 1.0) == 1
+        assert "segmentation has 2 rings" in capsys.readouterr().err
 
     def test_deterministic_output_bytes(self, corpus, tmp_path):
         gt = corpus / "annotations.json"

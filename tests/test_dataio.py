@@ -44,6 +44,7 @@ class TestParseCoco:
         assert len(gts) == 1
         assert len(gts[0].polygon) == 4
         assert gts[0].image_id == 1
+        assert gts[0].polygon is doc.polygons[0]  # built once, while validating
 
     def test_round_trip_fixed_point(self):
         blob1 = serialize_coco(parse_coco(json.dumps(MINIMAL)))
@@ -64,6 +65,16 @@ class TestParseCoco:
         data["annotations"] = [dict(MINIMAL["annotations"][0], segmentation=[[1, 2, 3, 4, 5]])]
         with pytest.raises(CocoFormatError, match="7"):
             parse_coco(json.dumps(data))
+
+    def test_multi_ring_segmentation_names_annotation_and_ring_count(self):
+        ring = MINIMAL["annotations"][0]["segmentation"][0]
+        hole = [20.0, 15.0, 20.0, 25.0, 30.0, 25.0, 30.0, 15.0]
+        data = dict(MINIMAL)
+        data["annotations"] = [dict(MINIMAL["annotations"][0], segmentation=[ring, hole])]
+        with pytest.raises(CocoFormatError, match="annotation 7: segmentation has 2 rings"):
+            parse_coco(json.dumps(data))
+        with pytest.raises(CocoFormatError, match="annotation 7: segmentation has 2 rings"):
+            CocoDoc(data=data).gt_instances()
 
     def test_dangling_image_reference(self):
         data = dict(MINIMAL)

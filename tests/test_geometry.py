@@ -13,10 +13,12 @@ from polymap.geometry import (
     mask_iou,
     normalize_orientation,
     polygon_iou,
+    polygon_ious,
     rasterize,
     signed_area,
     simplify_polygon,
 )
+from polymap.selftest import naive_rasterize
 
 UNIT_SQUARE = Polygon.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -178,7 +180,8 @@ def _joint_frame(a: Polygon, b: Polygon):
 
 
 def _joint_frame_iou(a: Polygon, b: Polygon, resolution: int) -> float:
-    """Slow oracle: rasterize both rings on polygon_iou's frame, never pruning."""
+    """Slow oracle: rasterize both rings on polygon_iou's frame with
+    naive_rasterize, never pruning."""
     x0, y0, w, h, long_side = _joint_frame(a, b)
     scale = resolution / long_side
     width = max(1, int(math.ceil(w * scale - 1e-9)))
@@ -186,7 +189,7 @@ def _joint_frame_iou(a: Polygon, b: Polygon, resolution: int) -> float:
 
     def to_raster(p):
         pts = [((v.x - x0) * scale, (v.y - y0) * scale) for v in p.vertices]
-        return rasterize(Polygon.from_points(pts), width, height)
+        return naive_rasterize(Polygon.from_points(pts), width, height)
 
     return mask_iou(to_raster(a), to_raster(b))
 
@@ -272,6 +275,141 @@ class TestPolygonIou:
         corner = polygon_iou(rect(0, 0, 8.5, 8.5), rect(8.5, 8.5, 7.5, 7.5), 16)
         assert corner == 1 / (81 + 64 - 1)
 
+
+def _random_ring(rng, lattice: bool) -> Polygon:
+    """4-8 vertices, often self-intersecting.
+
+    A lattice ring has its vertices on the half-pixel lattice and its box
+    exactly [0, 16] x [0, 16], so at resolution 16 any two of them share
+    that frame at scale 1 and their edges run through pixel centers.
+    """
+    while True:
+        k = rng.randint(4, 9)
+        if lattice:
+            pts = rng.randint(0, 33, size=(k, 2)) / 2.0
+            pts[0, 0], pts[1, 0], pts[2, 1], pts[3, 1] = 0.0, 16.0, 0.0, 16.0
+        else:
+            pts = rng.uniform(0.0, 16.0, size=(k, 2)) + rng.uniform(0.0, 20.0, size=2)
+        try:
+            return Polygon.from_points(pts)
+        except ValueError:  # a repeated vertex or zero area
+            continue
+
+
+_SPECIAL_RINGS = {
+    # Horizontal and vertical edges on pixel centers, corners on centers.
+    "axis-edges-on-centers": rect(0.5, 0.5, 8.0, 4.0),
+    "tall-box-on-centers": rect(2.5, 1.5, 3.0, 12.0),
+    # A near-horizontal edge whose dy is 1 ulp, starting on a center row.
+    "one-ulp-dy": Polygon.from_points(
+        [(0.5, 3.5), (12.0, _ulps(3.5, 1)), (12.0, 9.0), (0.5, 9.0)]),
+    # Self-intersecting bow ties with unequal lobes, one with a diagonal
+    # through pixel centers.
+    "bow-tie-on-centers": Polygon.from_points([(0.5, 0.5), (9.5, 9.5), (9.5, 2.5), (0.5, 9.5)]),
+    "bow-tie": Polygon.from_points([(0, 0), (12, 8), (12, 2), (0, 8)]),
+    "self-crossing-star": Polygon.from_points(
+        [(8, 0.5), (12.5, 15.5), (0.5, 5.5), (15.5, 5.5), (3.5, 15.5)]),
+}
+
+
+class TestRasterizeOracle:
+    @pytest.mark.parametrize("lattice", [True, False], ids=["half-pixel-lattice", "random"])
+    def test_random_rings_equal_oracle(self, lattice):
+        rng = np.random.RandomState(11 + lattice)
+        for _ in range(150):
+            p = _random_ring(rng, lattice)
+            if not lattice:
+                p = p.translated(-10.0, -10.0)  # some rings leave the frame
+            w, h = rng.randint(1, 24), rng.randint(1, 24)
+            assert np.array_equal(rasterize(p, w, h).bits, naive_rasterize(p, w, h).bits)
+
+    @pytest.mark.parametrize("name", sorted(_SPECIAL_RINGS))
+    def test_special_rings_equal_oracle(self, name):
+        p = _SPECIAL_RINGS[name]
+        for w, h in ((16, 16), (7, 13), (20, 5)):
+            assert np.array_equal(rasterize(p, w, h).bits, naive_rasterize(p, w, h).bits)
+
+    def test_one_ulp_edge_leaves_its_center_row_out(self):
+        # Flat, the bottom edge holds the centers of row 3 from x = 0.5 to
+        # 11.5.  Raised by 1 ulp at its far end, it passes above them, so only
+        # the start vertex's pixel stays.
+        flat = rasterize(rect(0.5, 3.5, 11.5, 5.5), 16, 16).bits
+        assert flat[3, :12].all() and not flat[3, 12:].any()
+        bits = rasterize(_SPECIAL_RINGS["one-ulp-dy"], 16, 16).bits
+        assert bits[3].tolist() == [True] + [False] * 15
+        assert np.array_equal(bits[4:], flat[4:])
+
+    def test_on_edge_center_whose_line_value_rounds(self):
+        # The edge from (0.5, 0.5) to (44.5, 30.5) holds the center
+        # (22.5, 15.5) exactly, but 0.5 + 22 * (30 / 44) rounds to 2e-15
+        # below 15.5; the fill leaves that pixel out, the edge rule keeps it.
+        p = Polygon.from_points([(0.5, 0.5), (44.5, 30.5), (0.5, 30.5)])
+        bits = rasterize(p, 48, 32).bits
+        assert bits[15, 22] and not bits[15, 23]
+        assert np.array_equal(bits, naive_rasterize(p, 48, 32).bits)
+
+    @pytest.mark.parametrize("low", [False, True], ids=["past-max", "past-min"])
+    @pytest.mark.parametrize("transpose", [False, True], ids=["x-major", "y-major"])
+    def test_center_just_past_an_edge_end_is_outside(self, transpose, low):
+        # The edge ends 2 ulps short of the center (110.5, 3.5) on its line:
+        # the cross product rounds to 0 there, but the center is outside the
+        # edge's bounding box, so it is not on the edge.
+        far = 107.0 if low else -100.0
+        pts = [(0.5, far), (110.5, _ulps(3.5, 2 if low else -2)), (120.0, far)]
+        w, h, pixel = 128, 112, (3, 110)
+        if transpose:
+            pts, w, h, pixel = [(y, x) for x, y in pts], h, w, (110, 3)
+        p = Polygon.from_points(pts)
+        bits = rasterize(p, w, h).bits
+        assert not bits[pixel]
+        assert np.array_equal(bits, naive_rasterize(p, w, h).bits)
+
+
+def _oracle_ious(pairs, resolution):
+    return [_joint_frame_iou(a, b, resolution) for a, b in pairs]
+
+
+class TestPolygonIous:
+    def test_empty_batch(self):
+        out = polygon_ious([], 16)
+        assert out.shape == (0,)
+
+    def test_one_pair_batch(self):
+        a, b = _SPECIAL_RINGS["bow-tie"], _SPECIAL_RINGS["axis-edges-on-centers"]
+        assert polygon_ious([(a, b)], 16).tolist() == _oracle_ious([(a, b)], 16)
+        assert polygon_iou(a, b, 16) == _oracle_ious([(a, b)], 16)[0]
+
+    @pytest.mark.parametrize("lattice, resolution",
+                             [(True, 16), (False, 16), (False, 64), (True, 256)],
+                             ids=["lattice-16", "random-16", "random-64", "lattice-256"])
+    def test_random_batch_equals_oracle(self, lattice, resolution):
+        rng = np.random.RandomState(resolution + lattice)
+        rings = [_random_ring(rng, lattice) for _ in range(10)]
+        pairs = [(a, b) for a in rings for b in rings]  # a ring with itself too
+        assert polygon_ious(pairs, resolution).tolist() == _oracle_ious(pairs, resolution)
+
+    def test_special_rings_equal_oracle(self):
+        rng = np.random.RandomState(5)
+        rings = list(_SPECIAL_RINGS.values()) + [_random_ring(rng, True) for _ in range(4)]
+        for resolution in (16, 64):
+            pairs = [(a, b) for a in rings for b in rings]
+            assert polygon_ious(pairs, resolution).tolist() == _oracle_ious(pairs, resolution)
+
+    @pytest.mark.parametrize("resolution", sorted({case[2] for case in _NEAR_CASES}))
+    def test_near_boxes_in_one_batch(self, resolution):
+        # Touching boxes and boxes 1 px +/- 4 ulps apart, pruned and scanned
+        # pairs mixed in one call.
+        pairs = [(a, b) for a, b, res, _, _ in _NEAR_CASES if res == resolution]
+        pairs += [(b, a) for a, b in pairs]
+        assert polygon_ious(pairs, resolution).tolist() == _oracle_ious(pairs, resolution)
+
+    def test_results_do_not_depend_on_pair_order(self):
+        rng = np.random.RandomState(8)
+        rings = [_random_ring(rng, bool(i % 2)) for i in range(8)]
+        pairs = [(a, b) for a in rings for b in rings]
+        got = polygon_ious(pairs, 32)
+        perm = rng.permutation(len(pairs))
+        assert polygon_ious([pairs[i] for i in perm], 32).tolist() == got[perm].tolist()
 
 
 def _point_chain_distance(pt: Vertex2, chain: list[Vertex2]) -> float:
