@@ -142,7 +142,7 @@ class BBox:
 def _shoelace(arr: np.ndarray) -> float:
     x = arr[:, 0]
     y = arr[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    return 0.5 * float(np.dot(x, np.concatenate((y[1:], y[:1]))) - np.dot(np.concatenate((x[1:], x[:1])), y))
 
 
 def signed_area(p: Polygon) -> float:

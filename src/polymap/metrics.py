@@ -2,6 +2,7 @@
 
 Matching is greedy in descending score with IoUs computed by polygon
 rasterization, one batched IoU matrix per image reused at every threshold.
+AP and AR read one ranking of all predictions, as a hit array per threshold.
 Vertex-count ratio, complexity-aware IoU and the maximum tangent-angle error
 are computed over the pairs matched at IoU 0.5.
 """
@@ -96,27 +97,22 @@ def _iou_matrix(preds, gts, resolution: int) -> np.ndarray:
     return polygon_ious(pairs, resolution).reshape(len(preds), len(gts))
 
 
-def _greedy_assign(iou_mat: np.ndarray, threshold: float) -> list[int | None]:
-    """Assign each (score-ordered) prediction row its best unused GT column."""
+def _greedy_assign(iou_mat: np.ndarray, threshold: float) -> np.ndarray:
+    """Each (score-ordered) prediction row's best unused GT column, or -1."""
     n_pred, n_gt = iou_mat.shape
-    used = np.zeros(n_gt, dtype=bool)
-    out: list[int | None] = []
-    for i in range(n_pred):
-        best_j = None
-        best_iou = 0.0
-        for j in range(n_gt):
-            if used[j]:
-                continue
-            iou = iou_mat[i, j]
-            if iou < threshold:
-                continue
+    out = np.full(n_pred, -1, dtype=np.intp)
+    passing = iou_mat >= threshold
+    used = [False] * n_gt
+    for i in np.flatnonzero(passing.any(axis=1)).tolist():
+        row = iou_mat[i].tolist()
+        best_j = -1
+        for j in np.flatnonzero(passing[i]).tolist():
             # Strictly-greater keeps the lower GT index on exact IoU ties.
-            if best_j is None or iou > best_iou:
+            if not used[j] and (best_j < 0 or row[j] > row[best_j]):
                 best_j = j
-                best_iou = iou
-        if best_j is not None:
+        if best_j >= 0:
             used[best_j] = True
-        out.append(best_j)
+            out[i] = best_j
     return out
 
 
@@ -125,13 +121,27 @@ def _check_threshold(iou_threshold: float) -> None:
         raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
 
 
-def _image_passes(preds, gts, resolution: int, thresholds) -> list:
+def _check_samples(samples: int) -> None:
+    if samples < 8:
+        raise ValueError(f"samples must be at least 8, got {samples}")
+
+
+@dataclass
+class _ImagePass:
+    """One image's score-sorted predictions, sorted ground truths, their IoU
+    matrix and, per threshold, the greedy GT column (or -1) of every row."""
+
+    preds: list[PredInstance]
+    gts: list[GtInstance]
+    ious: np.ndarray
+    assigns: dict[float, np.ndarray]
+
+
+def _image_passes(preds, gts, resolution: int, thresholds) -> list[_ImagePass]:
     """One IoU pass per image, in image-id order.
 
-    Each entry is (score-sorted predictions, sorted ground truths, IoU matrix
-    over all of them, {threshold: greedy assignment of every row}).  Greedy
-    assignment is sequential in row order, so its first k rows equal the
-    assignment of the top-k predictions alone.
+    Greedy assignment is sequential in row order, so the first k rows of an
+    assignment equal the assignment of the top-k predictions alone.
     """
     images = _group_by_image(preds, gts)
     passes = []
@@ -139,26 +149,42 @@ def _image_passes(preds, gts, resolution: int, thresholds) -> list:
         img_preds, img_gts = images[image_id]
         mat = _iou_matrix(img_preds, img_gts, resolution)
         assigns = {thr: _greedy_assign(mat, thr) for thr in thresholds}
-        passes.append((img_preds, img_gts, mat, assigns))
+        passes.append(_ImagePass(img_preds, img_gts, mat, assigns))
     return passes
 
 
-def _matches(passes: list, threshold: float, max_dets: int | None = None) -> list[Match]:
-    """Matches at one threshold for the top `max_dets` (default all) predictions per image."""
-    out: list[Match] = []
-    for img_preds, img_gts, mat, assigns in passes:
-        assign = assigns[threshold]
-        for i, p in enumerate(img_preds[:max_dets]):
-            j = assign[i]
-            if j is None:
-                out.append(Match(pred=p, gt=None, iou=0.0))
-            else:
-                out.append(Match(pred=p, gt=img_gts[j], iou=float(mat[i, j])))
+def _located(passes: list[_ImagePass]) -> list[tuple[_ImagePass, int]]:
+    """(image pass, row) of every prediction, in pass order."""
+    return [(ps, row) for ps in passes for row in range(len(ps.preds))]
+
+
+def _ranking(located: list[tuple[_ImagePass, int]]) -> np.ndarray:
+    """Pass-order positions of every prediction, best first.
+
+    One stable sort by `_pred_sort_key` of the predictions in pass order, so
+    exact-key ties (duplicate predictions) keep their pass order.  Every
+    threshold and the final pairing read this one ranking.
+    """
+    keys = [_pred_sort_key(ps.preds[row]) for ps, row in located]
+    return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+
+
+def _assigned(passes: list[_ImagePass], threshold: float) -> np.ndarray:
+    """GT column (or -1) of every prediction at one threshold, in pass order."""
+    return np.concatenate([ps.assigns[threshold] for ps in passes] + [np.empty(0, np.intp)])
+
+
+def _ranked_matches(located, rank: np.ndarray, threshold: float) -> list[tuple]:
+    """(pred, gt or None, iou) of every prediction at one threshold, best first."""
+    out = []
+    for k in rank.tolist():
+        ps, row = located[k]
+        j = int(ps.assigns[threshold][row])
+        if j < 0:
+            out.append((ps.preds[row], None, 0.0))
+        else:
+            out.append((ps.preds[row], ps.gts[j], float(ps.ious[row, j])))
     return out
-
-
-def _ranked(matches: list[Match]) -> list[Match]:
-    return sorted(matches, key=lambda m: _pred_sort_key(m.pred))
 
 
 def match_instances(
@@ -173,25 +199,38 @@ def match_instances(
     """
     _check_threshold(iou_threshold)
     passes = _image_passes(preds, gts, resolution, (iou_threshold,))
-    return _ranked(_matches(passes, iou_threshold))
+    located = _located(passes)
+    return [Match(*m) for m in _ranked_matches(located, _ranking(located), iou_threshold)]
+
+
+def hits_average_precision(hits: np.ndarray, total_gt: int) -> float:
+    """101-point interpolated AP of a score-ranked hit sequence (True = matched).
+
+    The interpolated precision at recall r is the best precision at any rank
+    whose recall reaches r: a running maximum of precision taken from the
+    end, read at the first such rank, which one `searchsorted` finds for all
+    101 recall points.  The points are summed in order, one by one.
+    """
+    if total_gt < 0:
+        raise ValueError(f"total_gt must be non-negative, got {total_gt}")
+    if total_gt == 0:
+        return 0.0 if len(hits) else 1.0
+    tp = np.cumsum(hits, dtype=np.int64)
+    precision = tp / np.arange(1, len(tp) + 1)
+    recall = tp / total_gt
+    best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    first = np.searchsorted(recall, np.linspace(0.0, 1.0, 101) - 1e-12, side="left")
+    ap = 0.0
+    for value in best[first].tolist():
+        ap += value
+    return ap / 101.0
 
 
 def average_precision(matches: list[Match], total_gt: int) -> float:
     """101-point interpolated AP over the score-ranked precision/recall curve."""
-    if total_gt < 0:
-        raise ValueError(f"total_gt must be non-negative, got {total_gt}")
-    if total_gt == 0:
-        return 0.0 if matches else 1.0
-    ordered = _ranked(matches)
-    tp = np.cumsum([1 if m.gt is not None else 0 for m in ordered])
-    ranks = np.arange(1, len(ordered) + 1)
-    precision = tp / ranks
-    recall = tp / total_gt
-    ap = 0.0
-    for r in np.linspace(0.0, 1.0, 101):
-        sel = precision[recall >= r - 1e-12]
-        ap += float(sel.max()) if sel.size else 0.0
-    return ap / 101.0
+    ranked = sorted(matches, key=lambda m: _pred_sort_key(m.pred))
+    hits = np.array([m.gt is not None for m in ranked], dtype=bool)
+    return hits_average_precision(hits, total_gt)
 
 
 def coco_suite(
@@ -210,19 +249,30 @@ def coco_suite(
     limit, and are None when nothing matches.
     """
     _check_threshold(match_iou)
+    _check_samples(samples)
     thresholds = IOU_THRESHOLDS + (() if match_iou in IOU_THRESHOLDS else (match_iou,))
     passes = _image_passes(preds, gts, resolution, thresholds)
-    total_gt = sum(len(img_gts) for _, img_gts, _, _ in passes)
+    total_gt = sum(len(ps.gts) for ps in passes)
+    located = _located(passes)
+    rank = _ranking(located)
+
+    # The ranked predictions among their image's top `max_dets`.
+    top = np.zeros(len(located), dtype=bool)
+    start = 0
+    for ps in passes:
+        top[start:start + len(ps.preds)][:max_dets] = True
+        start += len(ps.preds)
+    counted = rank[top[rank]]
 
     aps = []
     ars = []
     for thr in IOU_THRESHOLDS:
-        all_matches = _matches(passes, thr, max_dets)
-        aps.append(average_precision(all_matches, total_gt))
+        hits = _assigned(passes, thr)[counted] >= 0
+        aps.append(hits_average_precision(hits, total_gt))
         if total_gt == 0:
-            ars.append(0.0 if all_matches else 1.0)
+            ars.append(0.0 if hits.size else 1.0)
         else:
-            ars.append(sum(m.gt is not None for m in all_matches) / total_gt)
+            ars.append(int(np.count_nonzero(hits)) / total_gt)
 
     ap = float(np.mean(aps))
     ar = float(np.mean(ars))
@@ -232,8 +282,7 @@ def coco_suite(
         ar=ar, ar50=ars[0], ar75=ars[5],
         f1=f1, n_ratio=None, c_iou=None, mta=None,
     )
-    ranked = _ranked(_matches(passes, match_iou))
-    pairs = [(m.pred, m.gt, m.iou) for m in ranked if m.gt is not None]
+    pairs = [m for m in _ranked_matches(located, rank, match_iou) if m[1] is not None]
     if pairs:
         report.n_ratio = n_ratio(pairs)
         report.c_iou = c_iou(pairs)
@@ -277,8 +326,8 @@ def c_iou(pairs: list[tuple[PredInstance, GtInstance, float]]) -> float:
     return float(np.mean(vals))
 
 
-def _arc_table(p: Polygon) -> tuple[np.ndarray, np.ndarray, float]:
-    pts = p.as_array()
+def _arc_table(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(closed ring, cumulative arc length at each vertex, perimeter) of a vertex array."""
     closed = np.vstack([pts, pts[:1]])
     seg = np.hypot(np.diff(closed[:, 0]), np.diff(closed[:, 1]))
     cum = np.concatenate([[0.0], np.cumsum(seg)])
@@ -288,31 +337,52 @@ def _arc_table(p: Polygon) -> tuple[np.ndarray, np.ndarray, float]:
     return closed, cum, perimeter
 
 
-def _resample(p: Polygon, start_arc: float, samples: int) -> np.ndarray:
-    closed, cum, perimeter = _arc_table(p)
+def _resample(table, start_arc: float, samples: int) -> np.ndarray:
+    """`samples` points equally spaced by arc length from `start_arc` on an `_arc_table` ring."""
+    closed, cum, perimeter = table
     arcs = (start_arc + np.arange(samples) * perimeter / samples) % perimeter
     idx = np.minimum(np.searchsorted(cum, arcs, side="right") - 1, len(closed) - 2)
-    seg_len = cum[idx + 1] - cum[idx]
+    lo = cum.take(idx)
+    seg_len = cum.take(idx + 1) - lo
     flat = seg_len == 0
-    t = np.where(flat, 0.0, (arcs - cum[idx]) / np.where(flat, 1.0, seg_len))
-    return closed[idx] + t[:, None] * (closed[idx + 1] - closed[idx])
+    t = np.where(flat, 0.0, (arcs - lo) / np.where(flat, 1.0, seg_len))
+    start = closed.take(idx, axis=0)
+    return start + t[:, None] * (closed.take(idx + 1, axis=0) - start)
 
 
-def _nearest_boundary_arc(p: Polygon, point: np.ndarray) -> tuple[float, float]:
-    """(arc position, distance) of the boundary point of p closest to `point`."""
-    closed, cum, _ = _arc_table(p)
-    best = (0.0, math.inf)
-    for i in range(len(closed) - 1):
-        a = closed[i]
-        b = closed[i + 1]
-        d = b - a
-        L2 = float(d @ d)
-        t = 0.0 if L2 == 0 else max(0.0, min(1.0, float((point - a) @ d) / L2))
-        proj = a + t * d
-        dist = float(np.hypot(*(point - proj)))
-        if dist < best[1]:
-            best = (float(cum[i] + t * math.sqrt(L2)), dist)
-    return best
+def _start_arcs(pred_table, gt_table) -> tuple[float, float]:
+    """(pred arc, GT arc) of the closest pair of a GT vertex and a pred boundary point.
+
+    One (GT vertex x pred edge) array holds each vertex's distance to its
+    projection on each edge.  `np.argmin` over its row-major flattening takes
+    the first minimum, the pair a vertex-by-vertex, edge-by-edge scan with a
+    strict `<` keeps.  The dot products are stacked `np.matmul` calls, the
+    same dot routine as a scalar `a @ b`, so every value is bit-identical to
+    that scan's (`selftest.naive_start_arcs`).
+    """
+    closed, cum, _ = pred_table
+    gt_closed, gt_cum, _ = gt_table
+    a = closed[:-1]
+    d = closed[1:] - a
+    sq_len = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+    vertices = gt_closed[:-1, None, :]
+    along = ((vertices - a)[:, :, None, :] @ d[:, :, None])[:, :, 0, 0]
+    # t = max(0, min(1, along / sq_len)), 0 on a zero-length edge.
+    x = along / np.where(sq_len == 0, 1.0, sq_len)
+    x = np.where(x < 1.0, x, 1.0)
+    t = np.where((x > 0.0) & (sq_len != 0), x, 0.0)
+    off = vertices - (a + t[:, :, None] * d)
+    dist = np.hypot(off[:, :, 0], off[:, :, 1])
+    v, e = divmod(int(np.argmin(dist)), len(a))
+    return float(cum[e] + t[v, e] * math.sqrt(sq_len[e])), float(gt_cum[v])
+
+
+def _tangents(pts: np.ndarray) -> np.ndarray:
+    d = np.concatenate((pts[1:], pts[:1])) - pts
+    norms = np.hypot(d[:, 0], d[:, 1])
+    if np.any(norms == 0):
+        raise ValueError("degenerate boundary: coincident consecutive samples")
+    return d / norms[:, None]
 
 
 def mta(pred: Polygon, gt: Polygon, samples: int = 128) -> float:
@@ -322,31 +392,12 @@ def mta(pred: Polygon, gt: Polygon, samples: int = 128) -> float:
     uniformly by arc length; correspondence starts at the prediction point
     nearest to any ground-truth vertex.
     """
-    if samples < 8:
-        raise ValueError(f"samples must be at least 8, got {samples}")
-    pred_n = normalize_orientation(pred, ccw=True)
-    gt_n = normalize_orientation(gt, ccw=True)
-    gt_closed, gt_cum, _ = _arc_table(gt_n)
-
-    best = (math.inf, 0.0, 0.0)  # distance, pred arc, gt arc
-    for i in range(len(gt_closed) - 1):
-        vertex = gt_closed[i]
-        arc, dist = _nearest_boundary_arc(pred_n, vertex)
-        if dist < best[0]:
-            best = (dist, arc, float(gt_cum[i]))
-
-    pred_pts = _resample(pred_n, best[1], samples)
-    gt_pts = _resample(gt_n, best[2], samples)
-
-    def tangents(pts):
-        d = np.roll(pts, -1, axis=0) - pts
-        norms = np.hypot(d[:, 0], d[:, 1])
-        if np.any(norms == 0):
-            raise ValueError("degenerate boundary: coincident consecutive samples")
-        return d / norms[:, None]
-
-    tp = tangents(pred_pts)
-    tg = tangents(gt_pts)
+    _check_samples(samples)
+    pred_table = _arc_table(normalize_orientation(pred, ccw=True).as_array())
+    gt_table = _arc_table(normalize_orientation(gt, ccw=True).as_array())
+    pred_arc, gt_arc = _start_arcs(pred_table, gt_table)
+    tp = _tangents(_resample(pred_table, pred_arc, samples))
+    tg = _tangents(_resample(gt_table, gt_arc, samples))
     dots = np.clip((tp * tg).sum(axis=1), -1.0, 1.0)
     return float(np.arccos(dots).max())
 

@@ -169,6 +169,74 @@ def naive_rasterize(p, width: int, height: int):
     return RasterMask(width=width, height=height, bits=inside)
 
 
+def naive_average_precision(hits, total_gt: int) -> float:
+    """Reference 101-point AP of a score-ranked hit sequence: one recall mask per point."""
+    if total_gt < 0:
+        raise ValueError(f"total_gt must be non-negative, got {total_gt}")
+    if total_gt == 0:
+        return 0.0 if len(hits) else 1.0
+    tp = np.cumsum([1 if h else 0 for h in hits])
+    ranks = np.arange(1, len(hits) + 1)
+    precision = tp / ranks
+    recall = tp / total_gt
+    ap = 0.0
+    for r in np.linspace(0.0, 1.0, 101):
+        sel = precision[recall >= r - 1e-12]
+        ap += float(sel.max()) if sel.size else 0.0
+    return ap / 101.0
+
+
+def _nearest_boundary_arc(closed, cum, point) -> tuple[float, float]:
+    """(arc position, distance) of the boundary point of a closed ring closest to `point`."""
+    best = (0.0, math.inf)
+    for i in range(len(closed) - 1):
+        a = closed[i]
+        b = closed[i + 1]
+        d = b - a
+        L2 = float(d @ d)
+        t = 0.0 if L2 == 0 else max(0.0, min(1.0, float((point - a) @ d) / L2))
+        proj = a + t * d
+        dist = float(np.hypot(*(point - proj)))
+        if dist < best[1]:
+            best = (float(cum[i] + t * math.sqrt(L2)), dist)
+    return best
+
+
+def naive_start_arcs(pred_table, gt_table) -> tuple[float, float]:
+    """Reference `metrics._start_arcs`: every GT vertex against every pred edge, in turn."""
+    gt_closed, gt_cum, _ = gt_table
+    best = (math.inf, 0.0, 0.0)  # distance, pred arc, gt arc
+    for i in range(len(gt_closed) - 1):
+        arc, dist = _nearest_boundary_arc(pred_table[0], pred_table[1], gt_closed[i])
+        if dist < best[0]:
+            best = (dist, arc, float(gt_cum[i]))
+    return best[1], best[2]
+
+
+def naive_mta(pred, gt, samples: int = 128) -> float:
+    """Reference `metrics.mta`, with the start point from `naive_start_arcs`."""
+    from .geometry import normalize_orientation
+    from .metrics import _arc_table, _resample
+
+    if samples < 8:
+        raise ValueError(f"samples must be at least 8, got {samples}")
+    pred_table = _arc_table(normalize_orientation(pred, ccw=True).as_array())
+    gt_table = _arc_table(normalize_orientation(gt, ccw=True).as_array())
+    pred_arc, gt_arc = naive_start_arcs(pred_table, gt_table)
+
+    def tangents(pts):
+        d = np.roll(pts, -1, axis=0) - pts
+        norms = np.hypot(d[:, 0], d[:, 1])
+        if np.any(norms == 0):
+            raise ValueError("degenerate boundary: coincident consecutive samples")
+        return d / norms[:, None]
+
+    tp = tangents(_resample(pred_table, pred_arc, samples))
+    tg = tangents(_resample(gt_table, gt_arc, samples))
+    dots = np.clip((tp * tg).sum(axis=1), -1.0, 1.0)
+    return float(np.arccos(dots).max())
+
+
 @dataclass
 class CheckResult:
     name: str

@@ -220,6 +220,7 @@ def _toy_eval(store, cfg, samples, eval_doc):
     return evaluate_instances(preds, gts)
 
 
+@pytest.mark.slow
 def test_criterion_5_hierarchical_encoder_direction():
     from polymap.neural.head import PolygonHeadConfig
     from polymap.neural.training import corpus_samples, train_toy
@@ -266,6 +267,7 @@ def test_criterion_5_hierarchical_encoder_direction():
            f"C-IoU {med['hierarchical']['ciou']:.3f}, {elapsed / 60:.1f} min")
 
 
+@pytest.mark.slow
 def test_criterion_6_loss_weighting_direction():
     from polymap.neural.head import PolygonHeadConfig
     from polymap.neural.training import corpus_samples, held_out_sv_loss, train_toy

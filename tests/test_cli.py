@@ -123,6 +123,20 @@ class TestEval:
         assert abs(relaxed["c_iou"] - 1 / 3) <= 0.02
         assert abs(relaxed["mta"] - math.pi / 2) <= 0.05
 
+    @pytest.mark.parametrize("matching", ["no_match", "match"])
+    def test_samples_below_floor_exit_1(self, corpus, tmp_path, capsys, matching):
+        gt = corpus / "annotations.json"
+        doc = json.loads(make_pred_file(tmp_path, gt).read_text())
+        if matching == "no_match":
+            # Far outside every image: nothing matches, so MTA never runs.
+            for a in doc["annotations"]:
+                a["segmentation"] = [[500, 500, 510, 500, 510, 510, 500, 510]]
+        pred = tmp_path / "shifted.json"
+        pred.write_text(json.dumps(doc))
+        assert run("eval", gt, pred, "--samples", 0) == 1
+        assert "samples must be at least 8, got 0" in capsys.readouterr().err
+        assert run("eval", gt, pred, "--samples", 8) == 0
+
     def test_multi_ring_segmentation_exit_1(self, corpus, tmp_path, capsys):
         gt = corpus / "annotations.json"
         doc = json.loads(make_pred_file(tmp_path, gt).read_text())

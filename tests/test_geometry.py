@@ -83,6 +83,16 @@ class TestSignedArea:
             rev = Polygon(tuple(reversed(p.vertices)))
             assert signed_area(rev) == pytest.approx(-signed_area(p), abs=1e-12)
 
+    def test_equals_np_roll_shoelace(self):
+        # The area is the same two dot products as a shoelace with np.roll,
+        # bit for bit, from triangles to rings long enough for SIMD kernels.
+        rng = np.random.RandomState(8)
+        for n in list(range(3, 41)) * 5:
+            arr = rng.uniform(-1e3, 1e3, size=(n, 2)) * 10.0 ** rng.randint(-3, 4)
+            x, y = arr[:, 0], arr[:, 1]
+            want = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+            assert signed_area(Polygon.from_points(arr)) == want
+
 
 class TestNormalizeOrientation:
     def test_identity_when_already_ccw(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polymap.geometry import Polygon, polygon_iou
+from polymap.geometry import Polygon, normalize_orientation, polygon_iou
 from polymap.metrics import (
     IOU_THRESHOLDS,
     GtInstance,
@@ -14,11 +14,14 @@ from polymap.metrics import (
     c_iou,
     coco_suite,
     evaluate_instances,
+    hits_average_precision,
     match_instances,
     matched_pairs,
     mta,
     n_ratio,
 )
+from polymap.metrics import _arc_table, _start_arcs
+from polymap.selftest import naive_average_precision, naive_mta, naive_start_arcs
 
 
 def square(x0, y0, side):
@@ -118,6 +121,13 @@ class TestMatchInstances:
                 got.append(None if m.gt is None else order_g.index(m.gt))
             assert got == want
 
+    def test_exact_iou_tie_goes_to_the_lower_gt(self):
+        # The prediction sits halfway between two ground truths: equal IoUs.
+        gts = [GtInstance(1, square(2, 0, 10)), GtInstance(1, square(0, 0, 10))]
+        pred = [PredInstance(1, square(1, 0, 10), 0.9)]
+        assert polygon_iou(pred[0].polygon, gts[0].polygon) == polygon_iou(pred[0].polygon, gts[1].polygon)
+        assert match_instances(pred, gts, 0.5)[0].gt is gts[1]  # first in canonical order
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             match_instances([], [], 1.5)
@@ -161,6 +171,28 @@ class TestAveragePrecision:
         expect = (51 * 1.0 + 50 * (2 / 3)) / 101
         assert average_precision(m, 2) == pytest.approx(expect, abs=1e-12)
 
+    def test_hits_equal_naive_oracle(self):
+        rng = np.random.RandomState(7)
+        for _ in range(400):
+            hits = rng.rand(rng.randint(0, 40)) < rng.rand()
+            total_gt = int(hits.sum()) + rng.randint(0, 5)
+            assert hits_average_precision(hits, total_gt) == naive_average_precision(hits, total_gt)
+
+    @pytest.mark.parametrize("hits, total_gt", [
+        ([], 0), ([False], 0), ([True, False], 0),        # no ground truth
+        ([], 3), ([False] * 5, 4),                        # all misses
+        ([True] * 3 + [False] * 2 + [True], 100),         # recall in steps of 0.01, the grid
+        ([False, True] * 25, 50), ([True, False] * 10, 20),
+        ([True, False, False, True, True], 4),
+    ])
+    def test_edge_cases_equal_naive_oracle(self, hits, total_gt):
+        got = hits_average_precision(np.array(hits, dtype=bool), total_gt)
+        assert got == naive_average_precision(hits, total_gt)
+
+    def test_negative_total_gt_rejected(self):
+        with pytest.raises(ValueError):
+            hits_average_precision(np.zeros(0, dtype=bool), -1)
+
 
 class TestCocoSuite:
     def test_perfect_predictions(self):
@@ -201,6 +233,8 @@ class TestCocoSuite:
             PredInstance(g.image_id, g.polygon.translated(rng.uniform(-1, 1), rng.uniform(-1, 1)), float(rng.rand()))
             for g in gts[:4]
         ]
+        # Exact duplicates: same image, score and ring.
+        preds += [preds[-1], PredInstance(preds[0].image_id, preds[0].polygon, preds[0].score)]
         base = coco_suite(preds, gts)
         perm = coco_suite(list(reversed(preds)), list(reversed(gts)))
         assert base.as_dict() == perm.as_dict()
@@ -209,6 +243,26 @@ class TestCocoSuite:
         assert evaluate_instances(list(reversed(preds)), list(reversed(gts))).as_dict() == full.as_dict()
         shuffled = rng.permutation(len(preds))
         assert evaluate_instances([preds[i] for i in shuffled], gts).as_dict() == full.as_dict()
+
+    def test_duplicate_predictions_rank_the_matched_copy_first(self):
+        # Only one copy can match (IoU 0.78125); the greedy pass gives it to
+        # the copy first in input order, and the ranking keeps that copy
+        # first.  Each image's copies are input in descending object id, so
+        # ordering the tie by identity would rank the unmatched copy first.
+        gts = [GtInstance(1, square(0, 0, 8)), GtInstance(2, square(0, 0, 8))]
+        preds = []
+        for image_id in (1, 2):
+            copies = [PredInstance(image_id, square(1, 0, 8), 0.7) for _ in range(2)]
+            preds += sorted(copies, key=id, reverse=True)
+        ranked = match_instances(preds, gts, 0.5)
+        assert [m.pred is p for m, p in zip(ranked, preds)] == [True] * 4
+        assert [m.gt is not None for m in ranked] == [True, False, True, False]
+        r = evaluate_instances(preds, gts)
+        hit_ap = naive_average_precision([True, False, True, False], 2)
+        assert hit_ap != naive_average_precision([False, True, False, True], 2)
+        assert r.ap == float(np.mean([hit_ap] * 6 + [0.0] * 4))  # matches up to 0.75
+        assert (r.ap50, r.ap75, r.ar50, r.ar75) == (hit_ap, hit_ap, 1.0, 1.0)
+        assert r.c_iou == 0.78125 and r.n_ratio == 1.0
 
     def test_ap_ar_non_increasing_in_threshold(self):
         rng = np.random.RandomState(2)
@@ -296,6 +350,68 @@ class TestMta:
         p = square(0, 0, 4)
         with pytest.raises(ValueError):
             mta(p, p, samples=4)
+
+
+def _assert_mta_equals_oracle(pred, gt, samples=32):
+    tables = [_arc_table(normalize_orientation(p, ccw=True).as_array()) for p in (pred, gt)]
+    assert _start_arcs(*tables) == naive_start_arcs(*tables)
+    assert mta(pred, gt, samples) == naive_mta(pred, gt, samples)
+
+
+class TestMtaOracle:
+    """`mta` and its start point against the vertex-by-edge scan, with `==`."""
+
+    def test_random_rings(self):
+        rng = np.random.RandomState(11)
+        tried = 0
+        for i in range(300):
+            scale = (1.0, 1e-3, 1e4)[i % 3]
+            rings = [rng.uniform(0, 10, size=(rng.randint(3, 9), 2)) * scale for _ in range(2)]
+            try:
+                pred, gt = (Polygon.from_points(r) for r in rings)
+            except ValueError:  # a repeated vertex or zero area
+                continue
+            tried += 1
+            _assert_mta_equals_oracle(pred, gt, samples=(8, 32, 128)[i % 3])
+        assert tried > 250
+
+    def test_clockwise_inputs(self):
+        rng = np.random.RandomState(12)
+        for _ in range(40):
+            gt = square(rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(3, 8))
+            pred = gt.translated(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            cw_pred = Polygon(tuple(reversed(pred.vertices)))
+            cw_gt = Polygon(tuple(reversed(gt.vertices)))
+            for p, g in ((cw_pred, gt), (pred, cw_gt), (cw_pred, cw_gt)):
+                _assert_mta_equals_oracle(p, g)
+
+    def test_collinear_vertices(self):
+        rng = np.random.RandomState(13)
+        for _ in range(40):
+            x, y, side = rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(3, 8)
+            jitter = square_with_midpoints(x + rng.uniform(-1, 1), y + rng.uniform(-1, 1), side)
+            _assert_mta_equals_oracle(jitter, square(x, y, side))
+            _assert_mta_equals_oracle(square(x, y, side), jitter)
+
+    def test_ties(self):
+        cases = [
+            # Every GT vertex equidistant from two prediction edges.
+            (square(1, 1, 8), square(0, 0, 10)),
+            (square(-1, -1, 12), square(0, 0, 10)),
+            # GT vertices on prediction vertices: distance 0 at an edge's end
+            # and at the next edge's start.
+            (square(0, 0, 10), square(0, 0, 10)),
+            (square_with_midpoints(0, 0, 10), square(0, 0, 10)),
+            (square(0, 0, 10), square_with_midpoints(0, 0, 10)),
+            (Polygon.from_points([(0, 0), (10, 0), (5, 8)]), square(0, 0, 10)),
+            # A diamond whose vertices sit on the square's edge midpoints.
+            (Polygon.from_points([(5, 0), (10, 5), (5, 10), (0, 5)]), square(0, 0, 10)),
+            (square(0, 0, 10), Polygon.from_points([(5, 0), (10, 5), (5, 10), (0, 5)])),
+            (square(0.1, 0.1, 1e-3), square(0, 0, 0.3)),
+        ]
+        for pred, gt in cases:
+            for samples in (8, 33, 128):
+                _assert_mta_equals_oracle(pred, gt, samples)
 
 
 class TestEvaluateInstances:
