@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -27,7 +28,7 @@ from .dataio import (
     serialize_coco,
 )
 from .geometry import BBox, RasterMask, marching_squares, signed_area, simplify_polygon
-from .metrics import GtInstance, MetricReport, PredInstance, evaluate_instances
+from .metrics import MetricReport, evaluate_instances
 from .polyloss import LossWeights
 from .selftest import run_selftest
 
@@ -127,7 +128,7 @@ def _check_one_image_size(rasters: dict, corpus: str) -> None:
 
 def cmd_train_toy(args) -> int:
     from .neural.checkpoint import save_checkpoint
-    from .neural.training import corpus_samples, held_out_sv_loss, predict_batch, train_toy
+    from .neural.training import corpus_samples, held_out_sv_loss, predict_corpus, train_toy
 
     cfg = _head_config(args)
     doc, rasters = load_corpus(args.corpus)
@@ -174,14 +175,7 @@ def cmd_train_toy(args) -> int:
         "loss_curve": str(out_dir / "loss_curve.csv"),
     }
     if args.eval_corpus:
-        preds = []
-        gts = []
-        for s, (poly, score) in zip(esamples, predict_batch(store, cfg, esamples)):
-            image_id = id(s.image)
-            gts.append(GtInstance(image_id=image_id, polygon=s.polygon))
-            if poly is not None:
-                preds.append(PredInstance(image_id=image_id, polygon=poly, score=score))
-        report = evaluate_instances(preds, gts)
+        report = evaluate_instances(*predict_corpus(store, cfg, edoc, esamples))
         summary["eval"] = report.as_dict()
         summary["held_out_sv"] = held_out_sv_loss(store, cfg, esamples)
         (out_dir / "eval.json").write_text(
@@ -284,7 +278,9 @@ def cmd_polygonize(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `polymap` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="polymap",
         description="Polygonal building mapping toolkit: losses, metrics, toy training.",

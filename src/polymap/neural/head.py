@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..polyloss import PredDistSeq
 from .layers import (
-    apply_batch_norm,
     conv_bn_relu,
     ffn,
     init_attention,
@@ -36,10 +34,8 @@ from .tensor import (
     add,
     concat,
     conv2d_1x1,
-    conv2d_3x3,
     layer_norm,
     mul,
-    relu,
     reshape,
     sigmoid,
     softmax,
@@ -210,9 +206,7 @@ def _flatten_tokens(x: Tensor) -> Tensor:
 def _weight_maps(b: Tensor, cfg: PolygonHeadConfig, store: ParamStore, training: bool):
     x = b
     for i in range(WEIGHT_STEM_CONVS):
-        x = conv2d_3x3(x, store[f"enc.wstem.{i}.conv.w"], store[f"enc.wstem.{i}.conv.b"])
-        x = apply_batch_norm(x, store, f"enc.wstem.{i}.bn", training)
-        x = relu(x)
+        x = conv_bn_relu(x, store, f"enc.wstem.{i}", training)
     vmap = emap = None
     if cfg.needs_vertex_map():
         vmap = sigmoid(conv2d_1x1(x, store["enc.vertex_head.w"], store["enc.vertex_head.b"]))
@@ -324,13 +318,3 @@ def vertex_dist_tensor(v_emd: Tensor, store: ParamStore) -> Tensor:
     """Per-query categorical distributions as a graph tensor (softmax rows)."""
     return softmax(linear(v_emd, store, "out"))
 
-
-def predict_vertices(v_emd: Tensor, store: ParamStore) -> PredDistSeq:
-    """Project query embeddings to G*G+1 classes and normalize each row."""
-    dists = vertex_dist_tensor(v_emd, store)
-    data = dists.data
-    if data.ndim == 3:
-        if data.shape[0] != 1:
-            raise ValueError("predict_vertices expects a single instance; use the tensor path")
-        data = data[0]
-    return PredDistSeq(np.ascontiguousarray(data))

@@ -14,16 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..geometry import BBox, Polygon
+from ..metrics import GtInstance, PredInstance
 from ..polyloss import (
-    FocalParams,
     LossWeights,
     VertexTokenSeq,
-    _bidirectional_arrays,
-    _focal_terms,
-    cls_loss_with_grad,
+    bce_loss,
+    box_l1_loss,
     encode_gt_maps,
     encode_gt_sequence,
+    focal_loss,
     no_vertex_index,
+    sequence_loss,
 )
 from .head import (
     PolygonHeadConfig,
@@ -121,36 +122,10 @@ def forward_batch(
     return dists, vmap, emap, features, slots
 
 
-def _sequence_loss_node(dists: Tensor, batch: list[TrainSample], grid: int) -> Tensor:
-    def fn(data: np.ndarray):
-        total = 0.0
-        grads = np.zeros_like(data)
-        for r, sample in enumerate(batch):
-            value, grad = _bidirectional_arrays(
-                sample.tokens.tokens, sample.tokens.valid_count, data[r], grid
-            )
-            total += value
-            grads[r] = grad
-        n = len(batch)
-        return total / n, grads / n
-
-    return attach_loss(dists, fn, op="sequence_loss")
-
-
-def _focal_loss_node(
-    prob_map: Tensor, targets: np.ndarray, focal: FocalParams
-) -> Tensor:
-    def fn(data: np.ndarray):
-        total = 0.0
-        grads = np.zeros_like(data)
-        for r in range(data.shape[0]):
-            value, grad = _focal_terms(data[r, 0], targets[r], focal.alpha, focal.gamma)
-            total += value
-            grads[r, 0] = grad
-        n = data.shape[0]
-        return total / n, grads / n
-
-    return attach_loss(prob_map, fn, op="focal_loss")
+def _focal_node(prob_map: Tensor, maps: list[np.ndarray]) -> Tensor:
+    """Focal loss of (N, 1, G, G) probability maps against the samples' G x G targets."""
+    targets = np.stack(maps)[:, None]
+    return attach_loss(prob_map, lambda data: focal_loss(data, targets), op="focal_loss")
 
 
 def _box_iou_xywh(a: BBox, b: BBox) -> float:
@@ -213,27 +188,18 @@ def _detection_losses(
     scores = sigmoid(linear(hidden, store, "det.cls"))
     boxes = linear(hidden, store, "det.bbox")
 
-    def cls_fn(data: np.ndarray):
-        value, grad = cls_loss_with_grad(labels, data[:, 0])
-        return value, grad[:, None]
-
     targets = np.zeros((n, 4))
-    mask = np.zeros((n, 1))
+    positive = np.zeros(n, dtype=bool)
     for i, s in enumerate(batch):
         r = positives[i]
         height, width = s.image.shape[-2:]
         targets[r] = (s.box.cx / width, s.box.cy / height, s.box.w / width, s.box.h / height)
-        mask[r] = 1.0
-    n_pos = int(mask.sum())
+        positive[r] = True
 
-    def bbox_fn(data: np.ndarray):
-        diff = (data - targets) * mask
-        value = float(np.abs(diff).sum() / max(1, n_pos))
-        grad = np.sign(diff) * mask / max(1, n_pos)
-        return value, grad
-
-    cls_node = attach_loss(scores, cls_fn, op="cls_loss")
-    bbox_node = attach_loss(boxes, bbox_fn, op="bbox_loss")
+    cls_node = attach_loss(scores, lambda data: bce_loss(data, labels), op="cls_loss")
+    bbox_node = attach_loss(
+        boxes, lambda data: box_l1_loss(data, targets, positive), op="bbox_loss"
+    )
     return cls_node, bbox_node, cls_node.item(), bbox_node.item()
 
 
@@ -243,7 +209,6 @@ def compute_losses(
     batch: list[TrainSample],
     training: bool = True,
     weights: LossWeights | None = None,
-    focal: FocalParams | None = None,
     detection_rng: np.random.RandomState | None = None,
 ) -> tuple[Tensor, LossBreakdown]:
     """Build the scalar training loss graph for a batch.
@@ -256,17 +221,17 @@ def compute_losses(
     if not batch:
         raise ValueError("empty batch")
     w = weights or LossWeights()
-    fp = focal or FocalParams()
     dists, vmap, emap, features, slots = forward_batch(store, cfg, batch, training)
-    sv_node = _sequence_loss_node(dists, batch, cfg.grid_size)
+    tokens = [s.tokens for s in batch]
+    sv_node = attach_loss(dists, lambda data: sequence_loss(data, tokens), op="sequence_loss")
     poly_node = sv_node
     breakdown = LossBreakdown(total=0.0, sv=sv_node.item())
     if vmap is not None:
-        node = _focal_loss_node(vmap, np.stack([s.vertex_target for s in batch]), fp)
+        node = _focal_node(vmap, [s.vertex_target for s in batch])
         poly_node = add(poly_node, node)
         breakdown.ver = node.item()
     if emap is not None:
-        node = _focal_loss_node(emap, np.stack([s.edge_target for s in batch]), fp)
+        node = _focal_node(emap, [s.edge_target for s in batch])
         poly_node = add(poly_node, node)
         breakdown.edge = node.item()
 
@@ -282,22 +247,6 @@ def compute_losses(
     return total, breakdown
 
 
-def train_step(
-    batch: list[TrainSample],
-    store: ParamStore,
-    cfg: PolygonHeadConfig,
-    lr: float,
-    weight_decay: float = 1e-4,
-    weights: LossWeights | None = None,
-    detection_rng: np.random.RandomState | None = None,
-    stem_lr_scale: float = 0.1,
-) -> float:
-    """One forward/backward/update pass; returns the batch loss."""
-    return train_step_detailed(
-        batch, store, cfg, lr, weight_decay, weights, detection_rng, stem_lr_scale
-    ).total
-
-
 def train_step_detailed(
     batch: list[TrainSample],
     store: ParamStore,
@@ -308,7 +257,7 @@ def train_step_detailed(
     detection_rng: np.random.RandomState | None = None,
     stem_lr_scale: float = 0.1,
 ) -> LossBreakdown:
-    """As train_step, returning the per-term loss breakdown.
+    """One forward/backward/update pass; returns the per-term loss breakdown.
 
     The image stem plays the backbone's role and by default trains ten
     times slower than the heads, matching the backbone/head learning-rate
@@ -329,17 +278,14 @@ def held_out_sv_loss(
     store: ParamStore, cfg: PolygonHeadConfig, samples: list[TrainSample], batch_size: int = 16
 ) -> float:
     """Mean sequence loss over samples, inference mode, no updates."""
-    total = 0.0
+    rows = []
     with no_grad():
         for start in range(0, len(samples), batch_size):
             chunk = samples[start:start + batch_size]
             dists, _, _, _, _ = forward_batch(store, cfg, chunk, training=False)
-            for r, s in enumerate(chunk):
-                value, _ = _bidirectional_arrays(
-                    s.tokens.tokens, s.tokens.valid_count, dists.data[r], cfg.grid_size
-                )
-                total += value
-    return total / len(samples)
+            rows.append(dists.data)
+    value, _ = sequence_loss(np.concatenate(rows), [s.tokens for s in samples])
+    return value
 
 
 def decode_prediction(
@@ -397,6 +343,29 @@ def predict_batch(
                 for r in range(len(chunk))
             )
     return out
+
+
+def predict_corpus(
+    store: ParamStore, cfg: PolygonHeadConfig, doc, samples: list[TrainSample]
+) -> tuple[list[PredInstance], list[GtInstance]]:
+    """Predictions and ground truths for a corpus, keyed by annotation image id.
+
+    `samples` are `corpus_samples(doc, ...)`: one per annotation, in order.
+    Instances whose prediction does not decode to a polygon have no entry
+    in the predictions.
+    """
+    if len(samples) != len(doc.annotations):
+        raise ValueError(
+            f"{len(samples)} samples for {len(doc.annotations)} annotations; "
+            "pass the corpus_samples of this document"
+        )
+    preds: list[PredInstance] = []
+    gts: list[GtInstance] = []
+    for a, s, (poly, score) in zip(doc.annotations, samples, predict_batch(store, cfg, samples)):
+        gts.append(GtInstance(image_id=a["image_id"], polygon=s.polygon))
+        if poly is not None:
+            preds.append(PredInstance(image_id=a["image_id"], polygon=poly, score=score))
+    return preds, gts
 
 
 @dataclass

@@ -5,6 +5,10 @@ G x G vocabulary plus one trailing NO-VERTEX class (index G*G).  The
 sequence loss aligns the prediction to the ground truth's first vertex
 (search + cyclic shift) and takes the minimum cross entropy over the two
 traversal directions, so either vertex order is equally correct.
+
+The losses that training runs (`sequence_loss`, `focal_loss`, `bce_loss`,
+`box_l1_loss`) take a batch of arrays and return the batch loss and its
+gradient with respect to the first argument.
 """
 from __future__ import annotations
 
@@ -16,6 +20,9 @@ import numpy as np
 from .geometry import BBox, Polygon
 
 PROB_CLAMP = 1e-7
+# Focal loss exponents of CornerNet (Law & Deng, ECCV 2018), its alpha = 2 and beta = 4.
+FOCAL_ALPHA = 2.0
+FOCAL_GAMMA = 4.0
 
 
 def no_vertex_index(grid_size: int) -> int:
@@ -70,34 +77,6 @@ class PredDistSeq:
 
     def __len__(self) -> int:
         return self.dists.shape[0]
-
-
-@dataclass(frozen=True)
-class HeatmapPair:
-    """Predicted vertex/edge probability maps with their binary targets."""
-
-    vertex_probs: np.ndarray
-    edge_probs: np.ndarray
-    vertex_target: np.ndarray
-    edge_target: np.ndarray
-
-    def __post_init__(self):
-        shape = self.vertex_probs.shape
-        for name in ("edge_probs", "vertex_target", "edge_target"):
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
-
-
-@dataclass(frozen=True)
-class FocalParams:
-    alpha: float = 2.0
-    gamma: float = 4.0
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -271,13 +250,8 @@ def bidirectional_loss(gt: VertexTokenSeq, pred: PredDistSeq) -> tuple[float, np
     twin, averaged over all M positions.  Alignment indices are constants:
     the gradient flows through the winning branch only.
     """
-    if gt.valid_count < 1:
-        raise ValueError("ground truth must contain at least one vertex token")
-    if len(gt) != len(pred):
-        raise ValueError(f"sequence lengths differ: gt {len(gt)} vs pred {len(pred)}")
-    if gt.grid_size != pred.grid_size:
-        raise ValueError(f"grid sizes differ: gt {gt.grid_size} vs pred {pred.grid_size}")
-    return _bidirectional_arrays(gt.tokens, gt.valid_count, pred.dists, gt.grid_size)
+    value, grad = sequence_loss(pred.dists[None], [gt])
+    return value, grad[0]
 
 
 def _exhaustive_arrays(tokens: tuple[int, ...], k: int, dists: np.ndarray) -> float:
@@ -300,44 +274,74 @@ def exhaustive_alignment_loss(gt: VertexTokenSeq, pred: PredDistSeq) -> float:
     return _exhaustive_arrays(gt.tokens, gt.valid_count, pred.dists)
 
 
-def _focal_terms(
-    probs: np.ndarray, target: np.ndarray, alpha: float, gamma: float
+def _mean_of_rows(values) -> float:
+    """Per-row losses added in row order, then divided by the row count."""
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total / len(values)
+
+
+def sequence_loss(
+    dists: np.ndarray, targets: list[VertexTokenSeq]
 ) -> tuple[float, np.ndarray]:
-    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    pos = target > 0.5
-    loss = np.where(
-        pos,
-        -alpha * (1.0 - p) ** gamma * np.log(p),
-        -alpha * p**gamma * np.log(1.0 - p),
-    )
-    dpos = alpha * gamma * (1.0 - p) ** (gamma - 1.0) * np.log(p) - alpha * (1.0 - p) ** gamma / p
-    dneg = -alpha * gamma * p ** (gamma - 1.0) * np.log(1.0 - p) + alpha * p**gamma / (1.0 - p)
-    grad = np.where(pos, dpos, dneg) / probs.size
-    grad[(probs <= PROB_CLAMP) | (probs >= 1.0 - PROB_CLAMP)] = 0.0
-    return float(loss.mean()), grad
+    """Mean over a batch of the orientation-invariant sequence loss.
 
-
-def focal_map_loss(
-    maps: HeatmapPair, params: FocalParams = FocalParams()
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Focal loss over the vertex and edge probability maps, summed.
-
-    Each map contributes its per-pixel mean; gradients are returned per map.
+    Row b of the (B, M, G*G+1) `dists` is scored against `targets[b]` as
+    in `bidirectional_loss`; the gradient has the shape of `dists`.
     """
-    loss_v, grad_v = _focal_terms(maps.vertex_probs, maps.vertex_target, params.alpha, params.gamma)
-    loss_e, grad_e = _focal_terms(maps.edge_probs, maps.edge_target, params.alpha, params.gamma)
-    return loss_v + loss_e, (grad_v, grad_e)
+    n = len(targets)
+    if n == 0:
+        raise ValueError("sequence loss needs at least one instance")
+    if dists.ndim != 3 or dists.shape[0] != n:
+        raise ValueError(f"expected ({n}, M, G*G+1) distributions, got shape {dists.shape}")
+    m, vocab = dists.shape[1:]
+    values = []
+    grads = np.zeros_like(dists)
+    for r, gt in enumerate(targets):
+        if gt.valid_count < 1:
+            raise ValueError(f"instance {r}: ground truth must contain at least one vertex token")
+        if len(gt) != m:
+            raise ValueError(f"instance {r}: sequence lengths differ: gt {len(gt)} vs pred {m}")
+        if gt.grid_size * gt.grid_size + 1 != vocab:
+            raise ValueError(f"instance {r}: grid size {gt.grid_size} does not fit {vocab} classes")
+        value, grad = _bidirectional_arrays(gt.tokens, gt.valid_count, dists[r], gt.grid_size)
+        values.append(value)
+        grads[r] = grad
+    return _mean_of_rows(values), grads / n
 
 
-def cls_loss(labels: list[int], probs: list[float]) -> float:
-    """Mean binary cross entropy between 0/1 labels and predicted scores."""
-    value, _ = cls_loss_with_grad(labels, probs)
-    return value
+def focal_loss(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """CornerNet focal loss of (B, ...) probability maps against 0/1 targets.
+
+    Each instance contributes the mean over its pixels and the batch loss is
+    the mean over instances.  Pixels whose probability lies outside the
+    clamp get no gradient.
+    """
+    if probs.shape != targets.shape:
+        raise ValueError(f"probs shape {probs.shape} != targets shape {targets.shape}")
+    if probs.size == 0:
+        raise ValueError("focal loss needs at least one pixel")
+    n = probs.shape[0]
+    a, g = FOCAL_ALPHA, FOCAL_GAMMA
+    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    pos = targets > 0.5
+    loss = np.where(pos, -a * (1.0 - p) ** g * np.log(p), -a * p**g * np.log(1.0 - p))
+    dpos = a * g * (1.0 - p) ** (g - 1.0) * np.log(p) - a * (1.0 - p) ** g / p
+    dneg = -a * g * p ** (g - 1.0) * np.log(1.0 - p) + a * p**g / (1.0 - p)
+    grad = np.where(pos, dpos, dneg) / (probs.size // n)
+    grad[(probs <= PROB_CLAMP) | (probs >= 1.0 - PROB_CLAMP)] = 0.0
+    return _mean_of_rows(loss.reshape(n, -1).mean(axis=1)), grad / n
 
 
-def cls_loss_with_grad(labels, probs) -> tuple[float, np.ndarray]:
-    y = np.asarray(labels, dtype=np.float64)
-    p_raw = np.asarray(probs, dtype=np.float64)
+def bce_loss(probs: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Mean binary cross entropy of predicted scores against 0/1 labels.
+
+    `probs` holds one score per label in any shape, such as an (N, 1)
+    column; the gradient has the shape of `probs`.
+    """
+    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    p_raw = np.asarray(probs, dtype=np.float64).reshape(-1)
     if y.size == 0:
         raise ValueError("classification loss needs at least one sample")
     if y.shape != p_raw.shape:
@@ -346,31 +350,25 @@ def cls_loss_with_grad(labels, probs) -> tuple[float, np.ndarray]:
     loss = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
     grad = (-(y / p) + (1.0 - y) / (1.0 - p)) / y.size
     grad[(p_raw <= PROB_CLAMP) | (p_raw >= 1.0 - PROB_CLAMP)] = 0.0
-    return loss, grad
+    return loss, grad.reshape(np.shape(probs))
 
 
-def bbox_l1_loss(gt: list[BBox], pred: list[BBox]) -> float:
-    """Mean over boxes of the summed absolute (cx, cy, w, h) differences."""
-    value, _ = bbox_l1_with_grad(gt, pred)
-    return value
+def box_l1_loss(
+    boxes: np.ndarray, targets: np.ndarray, positive: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """L1 distance of (N, 4) boxes to their targets over the positive rows.
 
-
-def bbox_l1_with_grad(gt: list[BBox], pred: list[BBox]) -> tuple[float, np.ndarray]:
-    if len(gt) == 0:
-        raise ValueError("box regression loss needs at least one pair")
-    if len(gt) != len(pred):
-        raise ValueError(f"box list lengths differ: {len(gt)} vs {len(pred)}")
-    g = np.array([(b.cx, b.cy, b.w, b.h) for b in gt], dtype=np.float64)
-    p = np.array([(b.cx, b.cy, b.w, b.h) for b in pred], dtype=np.float64)
-    diff = p - g
-    loss = float(np.abs(diff).sum(axis=1).mean())
-    grad = np.sign(diff) / len(gt)
-    return loss, grad
-
-
-def total_loss(cls: float, bbox: float, poly: float, w: LossWeights = LossWeights()) -> float:
-    """Weighted sum of the three head losses."""
-    for name, v in (("cls", cls), ("bbox", bbox), ("poly", poly)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} loss is not finite: {v}")
-    return w.lambda_cls * cls + w.lambda_bbox * bbox + w.lambda_poly * poly
+    The loss is the summed absolute difference of the positive rows'
+    (cx, cy, w, h) divided by their count; other rows get no gradient.
+    """
+    if boxes.shape != targets.shape or boxes.ndim != 2 or boxes.shape[1] != 4:
+        raise ValueError(f"expected equal (N, 4) boxes and targets, got {boxes.shape} "
+                         f"and {targets.shape}")
+    if boxes.shape[0] == 0:
+        raise ValueError("box regression loss needs at least one box")
+    mask = np.asarray(positive, dtype=np.float64).reshape(-1, 1)
+    if mask.shape[0] != boxes.shape[0]:
+        raise ValueError(f"{mask.shape[0]} positive flags for {boxes.shape[0]} boxes")
+    count = max(1, int(mask.sum()))
+    diff = (boxes - targets) * mask
+    return float(np.abs(diff).sum() / count), np.sign(diff) * mask / count

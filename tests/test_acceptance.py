@@ -206,24 +206,11 @@ TOY_CORPUS = dict(families=("rect", "l_shape"), fg_level=150, bg_level=90,
 TOY_SEEDS = (0, 1, 2)
 
 
-def _toy_eval(store, cfg, samples, eval_doc):
-    from polymap.metrics import evaluate_instances
-    from polymap.neural.training import predict_batch
-
-    image_ids = [a["image_id"] for a in eval_doc.annotations]
-    preds, gts = [], []
-    for image_id, s, (poly, score) in zip(image_ids, samples,
-                                          predict_batch(store, cfg, samples)):
-        gts.append(GtInstance(image_id=image_id, polygon=s.polygon))
-        if poly is not None:
-            preds.append(PredInstance(image_id=image_id, polygon=poly, score=score))
-    return evaluate_instances(preds, gts)
-
-
 @pytest.mark.slow
 def test_criterion_5_hierarchical_encoder_direction():
+    from polymap.metrics import evaluate_instances
     from polymap.neural.head import PolygonHeadConfig
-    from polymap.neural.training import corpus_samples, train_toy
+    from polymap.neural.training import corpus_samples, predict_corpus, train_toy
 
     t0 = time.time()
     train_doc, train_rasters = gen_synthetic(SynthSpec(n_images=500, seed=41, **TOY_CORPUS))
@@ -242,7 +229,7 @@ def test_criterion_5_hierarchical_encoder_direction():
                 lr=1.5e-3, detection=True,
             )
             final_sv = float(np.mean([b.sv for b in hist.steps[-25:]]))
-            report_ = _toy_eval(store, cfg, eval_samples, eval_doc)
+            report_ = evaluate_instances(*predict_corpus(store, cfg, eval_doc, eval_samples))
             results[variant].append((final_sv, report_))
 
     med = {v: {

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from polymap.cli import main
-from polymap.dataio import parse_coco, write_pgm
+from polymap.dataio import load_corpus, parse_coco, write_pgm
 from polymap.geometry import Polygon, mask_iou, rasterize
+from polymap.metrics import evaluate_instances
+from polymap.neural.head import PolygonHeadConfig
+from polymap.neural.training import corpus_samples, held_out_sv_loss, predict_corpus, train_toy
 
 
 def run(*argv):
@@ -259,16 +262,30 @@ class TestTrainToy:
         corpus = tmp_path / "c"
         assert run("gen-synth", "--out-dir", corpus, "--images", 4, "--seed", 5,
                    "--size", 32, "--max-shapes", 1, "--families", "rect") == 0
+        held = tmp_path / "e"
+        assert run("gen-synth", "--out-dir", held, "--images", 3, "--seed", 6, "--size", 32,
+                   "--min-shapes", 2, "--max-shapes", 2, "--families", "rect") == 0
         capsys.readouterr()
         out = tmp_path / "run"
+        # Enough training that the held-out polygons decode and the report is not all zeros.
         assert run(
-            "train-toy", "--corpus", corpus, "--eval-corpus", corpus,
-            "--out-dir", out, "--epochs", 1, "--batch-size", 4,
+            "train-toy", "--corpus", corpus, "--eval-corpus", held,
+            "--out-dir", out, "--epochs", 20, "--batch-size", 4, "--lr", 0.01,
             "--grid", 8, "--channels", 16, "--decoder-blocks", 1, "--queries", 6,
         ) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert "eval" in summary and "held_out_sv" in summary
-        assert (out / "eval.json").exists()
+
+        # The same run in process, evaluated through predict_corpus.
+        cfg = PolygonHeadConfig(grid_size=8, channels=16, heads=4, decoder_blocks=1, queries=6)
+        store, _ = train_toy(corpus_samples(*load_corpus(corpus), cfg), cfg,
+                             seed=0, epochs=20, batch_size=4, lr=0.01)
+        doc, rasters = load_corpus(held)
+        samples = corpus_samples(doc, rasters, cfg)
+        report = evaluate_instances(*predict_corpus(store, cfg, doc, samples)).as_dict()
+        assert report["ap50"] > 0.0
+        assert (out / "eval.json").read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert summary["eval"] == report
+        assert summary["held_out_sv"] == held_out_sv_loss(store, cfg, samples)
 
     def test_empty_eval_corpus_exit_1_before_training(self, tmp_path, capsys):
         corpus = tmp_path / "c"

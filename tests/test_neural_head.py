@@ -8,7 +8,6 @@ from polymap.neural.head import (
     decoder_forward,
     encoder_forward,
     init_model,
-    predict_vertices,
     vertex_dist_tensor,
 )
 from polymap.neural.layers import multi_head_attention, sinusoidal_encoding
@@ -147,10 +146,10 @@ class TestPredict:
     def test_rows_sum_to_one(self):
         cfg = tiny_cfg()
         store = init_model(cfg, seed=0)
-        v = Tensor(np.random.RandomState(8).randn(6, 16))
-        seq = predict_vertices(v, store)
-        assert np.allclose(seq.dists.sum(axis=1), 1.0, atol=1e-12)
-        assert seq.grid_size == 8
+        v = Tensor(np.random.RandomState(8).randn(2, 6, 16))
+        dists = vertex_dist_tensor(v, store).data
+        assert dists.shape == (2, 6, 8 * 8 + 1)
+        assert np.allclose(dists.sum(axis=2), 1.0, atol=1e-12)
 
     def test_zero_logits_uniform(self):
         cfg = tiny_cfg()
@@ -158,14 +157,17 @@ class TestPredict:
         store["out.w"].data[:] = 0.0
         store["out.b"].data[:] = 0.0
         v = Tensor(np.random.RandomState(9).randn(6, 16))
-        seq = predict_vertices(v, store)
-        assert np.allclose(seq.dists, 1.0 / 65, atol=1e-15)
+        assert np.allclose(vertex_dist_tensor(v, store).data, 1.0 / 65, atol=1e-15)
 
     def test_tensor_path_matches(self):
         cfg = tiny_cfg()
         store = init_model(cfg, seed=0)
-        v = Tensor(np.random.RandomState(10).randn(6, 16))
-        assert np.array_equal(vertex_dist_tensor(v, store).data, predict_vertices(v, store).dists)
+        v = np.random.RandomState(10).randn(6, 16)
+        logits = v @ store["out.w"].data + store["out.b"].data
+        want = np.exp(logits - logits.max(axis=1, keepdims=True))
+        want /= want.sum(axis=1, keepdims=True)
+        got = vertex_dist_tensor(Tensor(v), store).data
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 class TestCheckpoint:

@@ -5,25 +5,20 @@ import pytest
 
 from polymap.geometry import BBox, Polygon
 from polymap.polyloss import (
-    FocalParams,
-    HeatmapPair,
-    LossWeights,
     PredDistSeq,
     VertexTokenSeq,
     align_inverse,
     align_shift,
-    bbox_l1_loss,
-    bbox_l1_with_grad,
+    bce_loss,
     bidirectional_loss,
-    cls_loss,
-    cls_loss_with_grad,
+    box_l1_loss,
     encode_gt_maps,
     encode_gt_sequence,
     exhaustive_alignment_loss,
-    focal_map_loss,
+    focal_loss,
     no_vertex_index,
     search_reference,
-    total_loss,
+    sequence_loss,
 )
 from polymap.selftest import naive_bidirectional_loss, naive_exhaustive_loss
 
@@ -78,12 +73,6 @@ class TestTypes:
             PredDistSeq(bad)
         with pytest.raises(ValueError):
             PredDistSeq(np.ones((2, 7)) / 7)  # 7 is not G*G+1
-
-    def test_focal_params_validation(self):
-        with pytest.raises(ValueError):
-            FocalParams(alpha=0.0)
-        with pytest.raises(ValueError):
-            FocalParams(gamma=-1.0)
 
 
 class TestEncodeSequence:
@@ -238,21 +227,19 @@ class TestBidirectionalLoss:
         for _ in range(5):
             m = 6
             gt = random_gt(rng, m, k=4, distinct=True)
-            dists = rng.gamma(2.0, 1.0, size=(m, V)) + 0.05
-            dists /= dists.sum(axis=1, keepdims=True)
-            from polymap.polyloss import _bidirectional_arrays
-
-            loss, grad = _bidirectional_arrays(gt.tokens, gt.valid_count, dists, G)
+            dists = rng.gamma(2.0, 1.0, size=(1, m, V)) + 0.05
+            dists /= dists.sum(axis=2, keepdims=True)
+            loss, grad = sequence_loss(dists, [gt])
             for _ in range(40):
                 i = rng.randint(m)
                 j = rng.randint(V)
                 d2 = dists.copy()
-                d2[i, j] += eps
-                up = _bidirectional_arrays(gt.tokens, gt.valid_count, d2, G)[0]
-                d2[i, j] -= 2 * eps
-                down = _bidirectional_arrays(gt.tokens, gt.valid_count, d2, G)[0]
+                d2[0, i, j] += eps
+                up = sequence_loss(d2, [gt])[0]
+                d2[0, i, j] -= 2 * eps
+                down = sequence_loss(d2, [gt])[0]
                 fd = (up - down) / (2 * eps)
-                assert abs(fd - grad[i, j]) <= 1e-5 * max(1.0, abs(fd), abs(grad[i, j]))
+                assert abs(fd - grad[0, i, j]) <= 1e-5 * max(1.0, abs(fd), abs(grad[0, i, j]))
 
     def test_empty_gt_rejected(self):
         pred = random_pred(np.random.RandomState(15), 4)
@@ -286,130 +273,162 @@ class TestExhaustiveLoss:
             assert exhaustive_alignment_loss(gt, pred) == pytest.approx(want, abs=1e-12)
 
 
+class TestSequenceLoss:
+    def test_batch_mean_of_bidirectional_loss(self):
+        rng = np.random.RandomState(21)
+        gts = [random_gt(rng, 7, k=k) for k in (1, 3, 6)]
+        preds = [random_pred(rng, 7) for _ in gts]
+        dists = np.stack([p.dists for p in preds])
+        value, grad = sequence_loss(dists, gts)
+        rows = [bidirectional_loss(gt, p) for gt, p in zip(gts, preds)]
+        assert value == pytest.approx(sum(v for v, _ in rows) / 3, abs=1e-15)
+        for r, (_, g) in enumerate(rows):
+            assert np.array_equal(grad[r], g / 3)
+
+    def test_bad_batches_rejected(self):
+        rng = np.random.RandomState(22)
+        gt = random_gt(rng, 4, k=2)
+        dists = np.stack([random_pred(rng, 4).dists])
+        with pytest.raises(ValueError):
+            sequence_loss(dists[:0], [])
+        with pytest.raises(ValueError):
+            sequence_loss(dists, [gt, gt])
+        with pytest.raises(ValueError):
+            sequence_loss(dists, [VertexTokenSeq(tokens=(NOV,) * 4, valid_count=0, grid_size=G)])
+        with pytest.raises(ValueError):
+            sequence_loss(dists, [random_gt(rng, 5, k=2)])
+        with pytest.raises(ValueError):
+            sequence_loss(dists, [random_gt(rng, 4, k=2, grid=4)])
+
+
+def focal_value(p, target):
+    """Focal loss of a single-pixel map with probability p."""
+    return focal_loss(np.full((1, 1, 1), p), np.full((1, 1, 1), float(target)))[0]
+
+
 class TestFocalLoss:
     def test_perfect_maps_near_zero(self):
-        target = np.zeros((4, 4))
-        target[1, 2] = 1.0
+        target = np.zeros((2, 4, 4))
+        target[:, 1, 2] = 1.0
         probs = np.where(target > 0.5, 1.0 - 1e-7, 1e-7)
-        maps = HeatmapPair(probs, probs, target, target)
-        loss, _ = focal_map_loss(maps)
+        loss, _ = focal_loss(probs, target)
         assert loss < 1e-5
 
     def test_single_positive_half(self):
         # -2 * 0.5^4 * ln(0.5) = 0.0866434...
-        target = np.ones((1, 1))
-        maps = HeatmapPair(np.full((1, 1), 0.5), np.full((1, 1), 1e-7), target, np.zeros((1, 1)))
-        loss, _ = focal_map_loss(maps, FocalParams(alpha=2.0, gamma=4.0))
+        loss = focal_value(0.5, 1)
         assert loss == pytest.approx(-2 * 0.5**4 * math.log(0.5), abs=1e-6)
         assert loss == pytest.approx(0.086643, abs=1e-6)
 
     def test_single_negative_half_symmetric(self):
-        target = np.zeros((1, 1))
-        maps = HeatmapPair(np.full((1, 1), 0.5), np.full((1, 1), 1e-7), np.zeros((1, 1)), np.zeros((1, 1)))
-        loss, _ = focal_map_loss(maps, FocalParams(alpha=2.0, gamma=4.0))
-        assert loss == pytest.approx(0.086643, abs=1e-6)
+        assert focal_value(0.5, 0) == pytest.approx(0.086643, abs=1e-6)
 
     def test_monotonic_in_p(self):
         ps = np.linspace(0.05, 0.95, 19)
-        pos_losses = []
-        neg_losses = []
-        for p in ps:
-            maps = HeatmapPair(
-                np.full((1, 1), p), np.full((1, 1), 0.5),
-                np.ones((1, 1)), np.zeros((1, 1)),
-            )
-            full, _ = focal_map_loss(maps)
-            maps_neg = HeatmapPair(
-                np.full((1, 1), p), np.full((1, 1), 0.5),
-                np.zeros((1, 1)), np.zeros((1, 1)),
-            )
-            full_neg, _ = focal_map_loss(maps_neg)
-            pos_losses.append(full)
-            neg_losses.append(full_neg)
+        pos_losses = [focal_value(p, 1) for p in ps]
+        neg_losses = [focal_value(p, 0) for p in ps]
         assert all(a > b for a, b in zip(pos_losses, pos_losses[1:]))
         assert all(a < b for a, b in zip(neg_losses, neg_losses[1:]))
 
+    def test_batch_is_mean_of_instances(self):
+        rng = np.random.RandomState(23)
+        probs = rng.uniform(0.1, 0.9, size=(3, 1, 4, 4))
+        target = (rng.rand(3, 1, 4, 4) > 0.7).astype(float)
+        value, grad = focal_loss(probs, target)
+        rows = [focal_loss(probs[r:r + 1], target[r:r + 1]) for r in range(3)]
+        assert value == pytest.approx(sum(v for v, _ in rows) / 3, abs=1e-15)
+        for r, (_, g) in enumerate(rows):
+            assert np.allclose(grad[r], g[0] / 3, rtol=1e-15, atol=0.0)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.RandomState(19)
-        probs = rng.uniform(0.1, 0.9, size=(5, 5))
-        target = (rng.rand(5, 5) > 0.7).astype(float)
-        other = np.full((5, 5), 0.5)
+        probs = rng.uniform(0.1, 0.9, size=(2, 1, 5, 5))
+        target = (rng.rand(2, 1, 5, 5) > 0.7).astype(float)
         eps = 1e-6
-        maps = HeatmapPair(probs, other, target, np.zeros((5, 5)))
-        _, (grad_v, _) = focal_map_loss(maps)
+        _, grad = focal_loss(probs, target)
         for _ in range(20):
-            i, j = rng.randint(5), rng.randint(5)
+            idx = (rng.randint(2), 0, rng.randint(5), rng.randint(5))
             p2 = probs.copy()
-            p2[i, j] += eps
-            up, _ = focal_map_loss(HeatmapPair(p2, other, target, np.zeros((5, 5))))
-            p2[i, j] -= 2 * eps
-            down, _ = focal_map_loss(HeatmapPair(p2, other, target, np.zeros((5, 5))))
+            p2[idx] += eps
+            up, _ = focal_loss(p2, target)
+            p2[idx] -= 2 * eps
+            down, _ = focal_loss(p2, target)
             fd = (up - down) / (2 * eps)
-            assert abs(fd - grad_v[i, j]) <= 1e-5 * max(1.0, abs(fd))
+            assert abs(fd - grad[idx]) <= 1e-5 * max(1.0, abs(fd))
+
+    def test_clamped_pixels_get_no_gradient(self):
+        probs = np.array([[[0.0, 1e-9, 0.5, 1.0]]])
+        _, grad = focal_loss(probs, np.array([[[1.0, 1.0, 1.0, 0.0]]]))
+        assert np.array_equal(grad[0, 0] == 0.0, [True, True, False, True])
+
+    def test_bad_inputs_rejected(self):
+        with pytest.raises(ValueError):
+            focal_loss(np.full((2, 1, 3, 3), 0.5), np.zeros((2, 3, 3)))
+        with pytest.raises(ValueError):
+            focal_loss(np.zeros((0, 1, 3, 3)), np.zeros((0, 1, 3, 3)))
 
 
 class TestClsAndBoxLosses:
     def test_cls_perfect(self):
-        assert cls_loss([1], [1.0 - 1e-7]) < 1e-6
+        assert bce_loss(np.array([[1.0 - 1e-7]]), [1])[0] < 1e-6
 
     def test_cls_half(self):
-        assert cls_loss([1], [0.5]) == pytest.approx(math.log(2), abs=1e-9)
-        assert cls_loss([0], [0.5]) == pytest.approx(math.log(2), abs=1e-9)
+        assert bce_loss(np.array([[0.5]]), [1])[0] == pytest.approx(math.log(2), abs=1e-9)
+        assert bce_loss(np.array([[0.5]]), [0])[0] == pytest.approx(math.log(2), abs=1e-9)
 
     def test_cls_empty_rejected(self):
         with pytest.raises(ValueError):
-            cls_loss([], [])
+            bce_loss(np.zeros((0, 1)), [])
+        with pytest.raises(ValueError):
+            bce_loss(np.full((2, 1), 0.5), [1])
 
     def test_cls_gradient(self):
         rng = np.random.RandomState(20)
-        probs = rng.uniform(0.2, 0.8, size=6)
+        probs = rng.uniform(0.2, 0.8, size=(6, 1))
         labels = [1, 0, 1, 1, 0, 0]
-        _, grad = cls_loss_with_grad(labels, probs)
+        _, grad = bce_loss(probs, labels)
+        assert grad.shape == probs.shape
         eps = 1e-6
         for i in range(6):
             p2 = probs.copy()
-            p2[i] += eps
-            up = cls_loss(labels, p2)
-            p2[i] -= 2 * eps
-            down = cls_loss(labels, p2)
-            assert (up - down) / (2 * eps) == pytest.approx(grad[i], rel=1e-5)
+            p2[i, 0] += eps
+            up = bce_loss(p2, labels)[0]
+            p2[i, 0] -= 2 * eps
+            down = bce_loss(p2, labels)[0]
+            assert (up - down) / (2 * eps) == pytest.approx(grad[i, 0], rel=1e-5)
+
+    @staticmethod
+    def box_value(pred, gt, positive=None):
+        pred, gt = np.array(pred, dtype=float), np.array(gt, dtype=float)
+        flags = np.ones(len(gt), dtype=bool) if positive is None else positive
+        return box_l1_loss(pred, gt, flags)
 
     def test_bbox_identity(self):
-        boxes = [BBox(5, 5, 2, 2)]
-        assert bbox_l1_loss(boxes, boxes) == 0.0
+        assert self.box_value([(5, 5, 2, 2)], [(5, 5, 2, 2)])[0] == 0.0
 
     def test_bbox_unit_offset(self):
-        gt = [BBox(5, 5, 2, 2)]
-        pred = [BBox(6, 5, 2, 2)]
-        assert bbox_l1_loss(gt, pred) == 1.0
+        assert self.box_value([(6, 5, 2, 2)], [(5, 5, 2, 2)])[0] == 1.0
 
     def test_bbox_mean_of_four_and_two(self):
-        gt = [BBox(0, 0, 1, 1), BBox(0, 0, 1, 1)]
-        pred = [BBox(1, 1, 2, 2), BBox(0, 2, 1, 1)]
-        assert bbox_l1_loss(gt, pred) == 3.0
+        gt = [(0, 0, 1, 1), (0, 0, 1, 1)]
+        pred = [(1, 1, 2, 2), (0, 2, 1, 1)]
+        assert self.box_value(pred, gt)[0] == 3.0
+
+    def test_bbox_negatives_ignored(self):
+        gt = [(0, 0, 1, 1), (0, 0, 1, 1), (9, 9, 9, 9)]
+        pred = [(1, 1, 2, 2), (0, 2, 1, 1), (0, 0, 0, 0)]
+        value, grad = self.box_value(pred, gt, np.array([True, True, False]))
+        assert value == 3.0
+        assert not grad[2].any()
 
     def test_bbox_length_mismatch(self):
         with pytest.raises(ValueError):
-            bbox_l1_loss([BBox(0, 0, 1, 1)], [])
+            box_l1_loss(np.zeros((1, 4)), np.zeros((0, 4)), np.ones(1, dtype=bool))
+        with pytest.raises(ValueError):
+            box_l1_loss(np.zeros((2, 4)), np.zeros((2, 4)), np.ones(1, dtype=bool))
+        with pytest.raises(ValueError):
+            box_l1_loss(np.zeros((0, 4)), np.zeros((0, 4)), np.ones(0, dtype=bool))
 
     def test_bbox_gradient_sign(self):
-        gt = [BBox(0, 0, 1, 1)]
-        pred = [BBox(1, -2, 3, 0.5)]
-        _, grad = bbox_l1_with_grad(gt, pred)
+        _, grad = self.box_value([(1, -2, 3, 0.5)], [(0, 0, 1, 1)])
         assert np.array_equal(grad[0], [1.0, -1.0, 1.0, -1.0])
-
-
-class TestTotalLoss:
-    def test_zeros(self):
-        assert total_loss(0.0, 0.0, 0.0) == 0.0
-
-    def test_unit_weights(self):
-        assert total_loss(1.0, 2.0, 3.0) == 6.0
-
-    def test_weighted(self):
-        w = LossWeights(lambda_cls=10.0, lambda_bbox=10.0, lambda_poly=1.0)
-        assert total_loss(1.0, 2.0, 3.0, w) == 33.0
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            total_loss(float("nan"), 0.0, 0.0)

@@ -1,9 +1,13 @@
+import importlib
+import runpy
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polymap.geometry import BBox, Polygon, rasterize
+from polymap.neural import training
 from polymap.neural.head import PolygonHeadConfig, init_model
 from polymap.neural.training import (
     _sample_proposals,
@@ -13,11 +17,11 @@ from polymap.neural.training import (
     decode_prediction,
     held_out_sv_loss,
     predict_batch,
-    train_step,
+    predict_corpus,
     train_step_detailed,
     train_toy,
 )
-from polymap.polyloss import no_vertex_index
+from polymap.polyloss import LossWeights, no_vertex_index
 
 warnings.filterwarnings("ignore", message="batch_norm training")
 
@@ -64,7 +68,7 @@ class TestTrainStep:
         store = init_model(cfg, seed=0)
         sample = square_sample(cfg)
         before = {k: t.data.copy() for k, t in store.params.items()}
-        train_step([sample], store, cfg, lr=0.0, weight_decay=1e-4)
+        train_step_detailed([sample], store, cfg, lr=0.0, weight_decay=1e-4)
         for k, t in store.params.items():
             assert np.array_equal(t.data, before[k]), k
 
@@ -84,14 +88,14 @@ class TestTrainStep:
         cfg = tiny_cfg()
         store = init_model(cfg, seed=0)
         with pytest.raises(ValueError):
-            train_step([], store, cfg, lr=1e-3)
+            train_step_detailed([], store, cfg, lr=1e-3)
 
     def test_non_finite_loss_aborts_step(self):
         cfg = tiny_cfg()
         store = init_model(cfg, seed=0)
         store["out.w"].data[0, 0] = float("nan")
         with pytest.raises(FloatingPointError, match="non-finite"):
-            train_step([square_sample(cfg)], store, cfg, lr=1e-3)
+            train_step_detailed([square_sample(cfg)], store, cfg, lr=1e-3)
 
     def test_detection_branch_adds_losses(self):
         cfg = tiny_cfg()
@@ -103,6 +107,19 @@ class TestTrainStep:
         assert b.cls > 0.0
         assert b.bbox > 0.0
         assert b.total >= b.sv
+
+    @pytest.mark.parametrize("lambdas", [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (10.0, 0.5, 0.01)],
+                             ids=["zeros", "unit_weights", "weighted"])
+    def test_total_is_weighted_sum_of_terms(self, lambdas):
+        cfg = tiny_cfg()
+        store = init_model(cfg, seed=0, detection=True)
+        w = LossWeights(lambda_cls=lambdas[0], lambda_bbox=lambdas[1], lambda_poly=lambdas[2])
+        _, b = compute_losses(store, cfg, [square_sample(cfg)], weights=w,
+                              detection_rng=np.random.RandomState(0))
+        assert min(b.sv, b.ver, b.edge, b.cls, b.bbox) > 0.0
+        want = (w.lambda_poly * (b.sv + b.ver + b.edge)
+                + w.lambda_cls * b.cls + w.lambda_bbox * b.bbox)
+        assert b.total == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_detection_branch_on_non_square_image(self):
         # 96 wide, 24 high: proposals and box targets follow each axis.
@@ -140,7 +157,7 @@ class TestOverfitAndDecode:
         sample = build_sample(image, poly, cfg)
         reached = None
         for step in range(500):
-            loss = train_step([sample], store, cfg, lr=1e-3)
+            loss = train_step_detailed([sample], store, cfg, lr=1e-3).total
             if loss < 0.05:
                 reached = step + 1
                 break
@@ -220,3 +237,38 @@ class TestToyLoop:
         assert len(results) == len(samples)
         for poly, score in results:
             assert 0.0 <= score <= 1.0
+        with pytest.raises(ValueError, match="samples for"):
+            predict_corpus(store, cfg, doc, samples[:-1])
+
+
+class TestBenchmarkHooks:
+    """The benchmark patches these names from outside the package."""
+
+    def test_trace_points_resolve(self):
+        tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        for _, module, attr, cls, _ in runpy.run_path(str(tracing))["TRACE_POINTS"]:
+            owner = importlib.import_module(module)
+            if cls is not None:
+                owner = getattr(owner, cls)
+            assert callable(getattr(owner, attr, None)), (module, cls, attr)
+
+    def test_one_forward_per_step_and_chunk(self, monkeypatch):
+        cfg = tiny_cfg()
+        samples = [square_sample(cfg, x0=x) for x in range(1, 6)]
+        store = init_model(cfg, seed=0)
+        sizes = []
+        inner = training.forward_batch
+
+        def counting(*args, **kwargs):
+            sizes.append(len(args[2]))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward_batch", counting)
+        train_step_detailed(samples[:3], store, cfg, lr=1e-3)
+        assert sizes == [3]
+        sizes.clear()
+        predict_batch(store, cfg, samples, chunk_size=2)
+        assert sizes == [2, 2, 1]
+        sizes.clear()
+        held_out_sv_loss(store, cfg, samples, batch_size=2)
+        assert sizes == [2, 2, 1]
