@@ -27,7 +27,7 @@ from .dataio import (
     save_corpus,
     serialize_coco,
 )
-from .geometry import BBox, RasterMask, marching_squares, signed_area, simplify_polygon
+from .geometry import BBox, marching_squares, signed_area, simplify_polygon
 from .metrics import MetricReport, evaluate_instances
 from .polyloss import LossWeights
 from .selftest import run_selftest
@@ -242,12 +242,12 @@ def cmd_polygonize(args) -> int:
     ann_id = 1
     for idx, path in enumerate(paths):
         image = read_pgm(path)
-        mask = RasterMask.from_array(image > 127)
+        mask = image > 127
         images.append(
             {
                 "id": idx + 1,
-                "width": mask.width,
-                "height": mask.height,
+                "width": mask.shape[1],
+                "height": mask.shape[0],
                 "file_name": path.name,
             }
         )

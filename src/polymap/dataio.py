@@ -16,7 +16,6 @@ import numpy as np
 from .geometry import (
     BBox,
     Polygon,
-    RasterMask,
     marching_squares,
     rasterize,
     signed_area,
@@ -90,7 +89,7 @@ def _annotation_polygon(a: dict) -> Polygon:
         )
     try:
         return Polygon.from_flat(seg)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CocoFormatError(f"annotation {aid}: bad segmentation ({exc})") from exc
 
 
@@ -200,7 +199,7 @@ def _clip_to_tile(
     local = polygon.translated(-ix0, -iy0)
     w, h = max(1, ix1 - ix0), max(1, iy1 - iy0)
     mask = rasterize(local, w, h)
-    area = mask.count()
+    area = int(np.count_nonzero(mask))
     if area == 0:
         return None
 
@@ -213,14 +212,14 @@ def _clip_to_tile(
     if ix0 >= tx and iy0 >= ty and ix1 <= tx + tile and iy1 <= ty + tile:
         return polygon.translated(-tx, -ty)  # fully inside: vertex-exact
 
-    clipped = np.zeros_like(mask.bits)
-    clipped[inter_y0 - iy0:inter_y1 - iy0, inter_x0 - ix0:inter_x1 - ix0] = mask.bits[
+    clipped = np.zeros_like(mask)
+    clipped[inter_y0 - iy0:inter_y1 - iy0, inter_x0 - ix0:inter_x1 - ix0] = mask[
         inter_y0 - iy0:inter_y1 - iy0, inter_x0 - ix0:inter_x1 - ix0
     ]
     kept = int(np.count_nonzero(clipped))
     if kept < fraction * area:
         return None
-    contours = marching_squares(RasterMask.from_array(clipped))
+    contours = marching_squares(clipped)
     rings = [c for c in contours if signed_area(c) > 0]
     if not rings:
         return None
@@ -407,7 +406,7 @@ def gen_synthetic(spec: SynthSpec) -> tuple[CocoDoc, dict[str, np.ndarray]]:
         image_id = index + 1
         file_name = f"synth_{image_id:05d}.pgm"
         for shape in placed:
-            canvas[rasterize(shape, spec.image_size, spec.image_size).bits] = spec.fg_level
+            canvas[rasterize(shape, spec.image_size, spec.image_size)] = spec.fg_level
             annotations.append(
                 {
                     "id": ann_id,

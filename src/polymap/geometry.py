@@ -13,39 +13,39 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Vertex2:
-    """A 2-D point in continuous pixel coordinates."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"vertex coordinates must be finite, got ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polygon:
-    """A simple ring of vertices; closure from the last back to the first is implicit."""
+    """A simple ring of vertices; closure from the last back to the first is implicit.
 
-    vertices: tuple[Vertex2, ...]
+    `vertices` is a read-only, C-ordered (n, 2) float64 array of (x, y) rows,
+    copied from the (n, 2) array-like the polygon is built from.
+    """
+
+    vertices: np.ndarray
 
     def __post_init__(self):
-        if len(self.vertices) < 3:
-            raise ValueError(f"polygon needs at least 3 vertices, got {len(self.vertices)}")
-        n = len(self.vertices)
-        for i in range(n):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % n]
-            if a.x == b.x and a.y == b.y:
+        arr = np.array(self.vertices, dtype=np.float64, order="C")
+        if arr.shape == (0,):
+            arr = arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"vertices must form an (n, 2) array, got shape {arr.shape}")
+        rows = arr.tolist()
+        for x, y in rows:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"vertex coordinates must be finite, got ({x}, {y})")
+        if len(rows) < 3:
+            raise ValueError(f"polygon needs at least 3 vertices, got {len(rows)}")
+        for i, (a, b) in enumerate(zip(rows, rows[1:] + rows[:1])):
+            if a == b:
                 raise ValueError(f"consecutive duplicate vertex at index {i}")
-        if _shoelace(self.as_array()) == 0.0:
+        if _shoelace(arr) == 0.0:
             raise ValueError("polygon has zero signed area")
+        arr.flags.writeable = False
+        object.__setattr__(self, "vertices", arr)
 
     @classmethod
     def from_points(cls, points: Iterable[tuple[float, float]]) -> "Polygon":
-        return cls(tuple(Vertex2(float(x), float(y)) for x, y in points))
+        return cls(list(points))
 
     @classmethod
     def from_flat(cls, coords: Sequence[float]) -> "Polygon":
@@ -56,55 +56,21 @@ class Polygon:
         # Tolerate an explicitly closed ring on input.
         if len(pts) >= 2 and pts[0] == pts[-1]:
             pts = pts[:-1]
-        return cls.from_points(pts)
+        return cls(pts)
 
     def to_flat(self) -> list[float]:
-        out: list[float] = []
-        for v in self.vertices:
-            out.extend((v.x, v.y))
-        return out
-
-    def as_array(self) -> np.ndarray:
-        return np.array([(v.x, v.y) for v in self.vertices], dtype=np.float64)
+        return self.vertices.ravel().tolist()
 
     def translated(self, dx: float, dy: float) -> "Polygon":
-        return Polygon.from_points((v.x + dx, v.y + dy) for v in self.vertices)
+        return Polygon(self.vertices + (dx, dy))
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(min_x, min_y, max_x, max_y)."""
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        return (float(min(xs)), float(min(ys)), float(max(xs)), float(max(ys)))
+        xs, ys = self.vertices.T.tolist()
+        return (min(xs), min(ys), max(xs), max(ys))
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-
-@dataclass(frozen=True)
-class RasterMask:
-    """Row-major boolean pixel grid."""
-
-    width: int
-    height: int
-    bits: np.ndarray
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"mask dimensions must be positive, got {self.width}x{self.height}")
-        if self.bits.shape != (self.height, self.width):
-            raise ValueError(
-                f"bit grid shape {self.bits.shape} does not match {self.height}x{self.width}"
-            )
-        if self.bits.dtype != np.bool_:
-            raise ValueError("bit grid must be boolean")
-
-    @classmethod
-    def from_array(cls, bits: np.ndarray) -> "RasterMask":
-        arr = np.asarray(bits, dtype=np.bool_)
-        return cls(width=arr.shape[1], height=arr.shape[0], bits=arr)
-
-    def count(self) -> int:
-        return int(np.count_nonzero(self.bits))
 
 
 @dataclass(frozen=True)
@@ -147,15 +113,14 @@ def _shoelace(arr: np.ndarray) -> float:
 
 def signed_area(p: Polygon) -> float:
     """Shoelace area; positive for counterclockwise rings (y-up convention)."""
-    return _shoelace(p.as_array())
+    return _shoelace(p.vertices)
 
 
 def normalize_orientation(p: Polygon, ccw: bool = True) -> Polygon:
     """Return p traversed in the requested orientation, keeping the start vertex."""
     if (signed_area(p) > 0) == ccw:
         return p
-    verts = (p.vertices[0],) + tuple(reversed(p.vertices[1:]))
-    return Polygon(verts)
+    return Polygon(np.concatenate((p.vertices[:1], p.vertices[:0:-1])))
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,27 +229,25 @@ def _scan(pts: np.ndarray, lengths, widths, heights):
     return crossings, boundary[np.diff(boundary, prepend=-1) != 0], stride, h_max * stride
 
 
-def rasterize(p: Polygon, width: int, height: int) -> RasterMask:
-    """Even-odd fill of pixel centers; centers exactly on an edge count as inside."""
+def rasterize(p: Polygon, width: int, height: int) -> np.ndarray:
+    """(height, width) bool mask: even-odd fill of pixel centers, where centers
+    exactly on an edge count as inside."""
     if width <= 0 or height <= 0:
         raise ValueError(f"raster dimensions must be positive, got {width}x{height}")
-    arr = p.as_array()
-    crossings, boundary, stride, size = _scan(arr, [len(arr)], [width], [height])
+    crossings, boundary, stride, size = _scan(p.vertices, [len(p)], [width], [height])
     counts = np.bincount(crossings >> 1, minlength=size).reshape(height, stride)
     bits = (np.cumsum(counts, axis=1)[:, :width] & 1).astype(np.bool_)
     on = boundary >> 1
     bits[on // stride, on % stride] = True
-    return RasterMask(width=width, height=height, bits=bits)
+    return bits
 
 
-def mask_iou(a: RasterMask, b: RasterMask) -> float:
-    """Intersection over union of two equally sized masks; 0 when both are empty."""
-    if (a.width, a.height) != (b.width, b.height):
-        raise ValueError(
-            f"mask dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}"
-        )
-    inter = int(np.count_nonzero(a.bits & b.bits))
-    union = int(np.count_nonzero(a.bits | b.bits))
+def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
+    """Intersection over union of two equally shaped bool masks; 0 when both are empty."""
+    if a.shape != b.shape:
+        raise ValueError(f"mask shapes differ: {a.shape} vs {b.shape}")
+    inter = int(np.count_nonzero(a & b))
+    union = int(np.count_nonzero(a | b))
     if union == 0:
         return 0.0
     return inter / union
@@ -324,7 +287,7 @@ def polygon_ious(pairs: Sequence[tuple[Polygon, Polygon]], resolution: int = 256
     # Rings a, b of kept pair q are rings 2q, 2q + 1 of the scan.
     ring_poly = which[keep].reshape(-1)
     lengths = np.array([len(p) for p in polys])
-    verts = np.array([(v.x, v.y) for p in polys for v in p.vertices])
+    verts = np.concatenate([p.vertices for p in polys])
     owner, vert = _ranges(np.cumsum(lengths)[ring_poly] - lengths[ring_poly], lengths[ring_poly])
     pts = (verts[vert] - lo[keep][owner >> 1]) * scale[owner >> 1][:, None]
     crossings, boundary, _, frame_stride = _scan(
@@ -377,8 +340,9 @@ def _perp_distance(pt: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.hypot(*(pt - proj)))
 
 
-def douglas_peucker(line: Sequence[Vertex2], epsilon: float) -> list[Vertex2]:
-    """Classic recursive max-deviation simplification, endpoints preserved.
+def douglas_peucker(line: np.ndarray, epsilon: float) -> np.ndarray:
+    """Classic recursive max-deviation simplification of an (n, 2) point array,
+    endpoints preserved.
 
     Points are dropped only when every intermediate deviation is <= epsilon,
     so epsilon=0 keeps everything that is not exactly collinear.
@@ -387,7 +351,7 @@ def douglas_peucker(line: Sequence[Vertex2], epsilon: float) -> list[Vertex2]:
         raise ValueError(f"need at least 2 points, got {len(line)}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    pts = np.array([(v.x, v.y) for v in line], dtype=np.float64)
+    pts = np.asarray(line, dtype=np.float64)
     keep = np.zeros(len(pts), dtype=np.bool_)
     keep[0] = keep[-1] = True
     stack = [(0, len(pts) - 1)]
@@ -406,7 +370,7 @@ def douglas_peucker(line: Sequence[Vertex2], epsilon: float) -> list[Vertex2]:
             keep[best_i] = True
             stack.append((lo, best_i))
             stack.append((best_i, hi))
-    return [line[i] for i in range(len(line)) if keep[i]]
+    return pts[keep]
 
 
 def simplify_polygon(p: Polygon, epsilon: float) -> Polygon:
@@ -415,12 +379,11 @@ def simplify_polygon(p: Polygon, epsilon: float) -> Polygon:
     The (arbitrary) start vertex is kept.  If simplification would degenerate
     the ring, the input is returned unchanged.
     """
-    chain = list(p.vertices) + [p.vertices[0]]
-    kept = douglas_peucker(chain, epsilon)[:-1]
+    kept = douglas_peucker(np.concatenate((p.vertices, p.vertices[:1])), epsilon)[:-1]
     if len(kept) < 3:
         return p
     try:
-        return Polygon(tuple(kept))
+        return Polygon(kept)
     except ValueError:
         return p
 
@@ -449,16 +412,21 @@ _MS_SEGMENTS: dict[int, tuple[tuple[str, str], ...]] = {
 }
 
 
-def marching_squares(m: RasterMask) -> list[Polygon]:
-    """Trace 0.5 iso-level contours of a binary mask.
+def marching_squares(bits: np.ndarray) -> list[Polygon]:
+    """Trace 0.5 iso-level contours of a 2-D bool mask.
 
     Returns one closed counterclockwise ring per connected foreground
     component (diagonal saddles resolved foreground-connected by the
     average-of-corners rule) plus clockwise rings for holes.  Vertices lie
     on pixel-cell edge midpoints.
     """
-    padded = np.zeros((m.height + 2, m.width + 2), dtype=np.int8)
-    padded[1:-1, 1:-1] = m.bits
+    if not (isinstance(bits, np.ndarray) and bits.dtype == np.bool_ and bits.ndim == 2):
+        raise ValueError(
+            f"mask must be a 2-D bool array, got shape {np.shape(bits)} of {np.asarray(bits).dtype}"
+        )
+    height, width = bits.shape
+    padded = np.zeros((height + 2, width + 2), dtype=np.int8)
+    padded[1:-1, 1:-1] = bits
     # Padded sample (a, b) sits at the center of original pixel (a-1, b-1),
     # i.e. continuous coordinates (b - 0.5, a - 0.5).
     cases = (

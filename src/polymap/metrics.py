@@ -393,8 +393,8 @@ def mta(pred: Polygon, gt: Polygon, samples: int = 128) -> float:
     nearest to any ground-truth vertex.
     """
     _check_samples(samples)
-    pred_table = _arc_table(normalize_orientation(pred, ccw=True).as_array())
-    gt_table = _arc_table(normalize_orientation(gt, ccw=True).as_array())
+    pred_table = _arc_table(normalize_orientation(pred, ccw=True).vertices)
+    gt_table = _arc_table(normalize_orientation(gt, ccw=True).vertices)
     pred_arc, gt_arc = _start_arcs(pred_table, gt_table)
     tp = _tangents(_resample(pred_table, pred_arc, samples))
     tg = _tangents(_resample(gt_table, gt_arc, samples))

@@ -59,9 +59,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.data.shape}")
@@ -138,10 +135,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _check(cond: bool, op: str, msg: str) -> None:
     if not cond:
         raise ValueError(f"{op}: {msg}")
-
-
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False, op="constant")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -110,8 +110,8 @@ def encode_gt_sequence(p: Polygon, grid_size: int, query_count: int, crop: BBox)
         )
     x0, y0, _, _ = crop.corners()
     tokens: list[int] = []
-    for vert in p.vertices:
-        cell = _cell_of((vert.x - x0) / crop.w, (vert.y - y0) / crop.h, grid_size)
+    for x, y in p.vertices.tolist():
+        cell = _cell_of((x - x0) / crop.w, (y - y0) / crop.h, grid_size)
         if not tokens or tokens[-1] != cell:
             tokens.append(cell)
     while len(tokens) > 1 and tokens[-1] == tokens[0]:
@@ -127,7 +127,7 @@ def encode_gt_maps(p: Polygon, grid_size: int, crop: BBox) -> tuple[np.ndarray, 
     vertex = np.zeros((g, g), dtype=np.float64)
     edge = np.zeros((g, g), dtype=np.float64)
     x0, y0, _, _ = crop.corners()
-    pts = [((v.x - x0) / crop.w * g, (v.y - y0) / crop.h * g) for v in p.vertices]
+    pts = [((x - x0) / crop.w * g, (y - y0) / crop.h * g) for x, y in p.vertices.tolist()]
 
     def mark(arr, gx, gy):
         col = min(g - 1, max(0, int(gx)))

@@ -128,11 +128,9 @@ def _on_segment_mask(xs: np.ndarray, ys: np.ndarray, p1, p2) -> np.ndarray:
 
 def naive_rasterize(p, width: int, height: int):
     """Reference `rasterize`: one full-row parity XOR and one on-edge grid per edge."""
-    from .geometry import RasterMask
-
     if width <= 0 or height <= 0:
         raise ValueError(f"raster dimensions must be positive, got {width}x{height}")
-    arr = p.as_array()
+    arr = p.vertices
     n = arr.shape[0]
     xs = np.arange(width, dtype=np.float64) + 0.5
     ys = np.arange(height, dtype=np.float64) + 0.5
@@ -166,7 +164,7 @@ def naive_rasterize(p, width: int, height: int):
         sub = _on_segment_mask(xs[lo_c:hi_c], ys[lo_r:hi_r], p1, p2)
         inside[lo_r:hi_r, lo_c:hi_c] |= sub
 
-    return RasterMask(width=width, height=height, bits=inside)
+    return inside
 
 
 def naive_average_precision(hits, total_gt: int) -> float:
@@ -220,8 +218,8 @@ def naive_mta(pred, gt, samples: int = 128) -> float:
 
     if samples < 8:
         raise ValueError(f"samples must be at least 8, got {samples}")
-    pred_table = _arc_table(normalize_orientation(pred, ccw=True).as_array())
-    gt_table = _arc_table(normalize_orientation(gt, ccw=True).as_array())
+    pred_table = _arc_table(normalize_orientation(pred, ccw=True).vertices)
+    gt_table = _arc_table(normalize_orientation(gt, ccw=True).vertices)
     pred_arc, gt_arc = naive_start_arcs(pred_table, gt_table)
 
     def tangents(pts):
@@ -415,7 +413,7 @@ def check_full_graph_gradients(rng: np.random.RandomState) -> CheckResult:
     )
     store = init_model(cfg, seed=3)
     poly = Polygon.from_points([(3, 2), (13, 2), (13, 12), (3, 12)])
-    image = rasterize(poly, 16, 16).bits * 255.0
+    image = rasterize(poly, 16, 16) * 255.0
     sample = build_sample(image, poly, cfg)
 
     def build():
@@ -491,7 +489,7 @@ def check_rasterize_vs_naive(rng: np.random.RandomState, trials: int = 60) -> Ch
             continue
         w, h = int(rng.randint(1, 18)), int(rng.randint(1, 18))
         tried += 1
-        differ += not np.array_equal(rasterize(poly, w, h).bits, naive_rasterize(poly, w, h).bits)
+        differ += not np.array_equal(rasterize(poly, w, h), naive_rasterize(poly, w, h))
     return CheckResult("rasterize_vs_naive", differ == 0, f"{differ} of {tried} rings differ")
 
 

@@ -152,6 +152,18 @@ class TestEval:
         assert run("simplify", pred, "--epsilon", 1.0) == 1
         assert "segmentation has 2 rings" in capsys.readouterr().err
 
+    def test_coordinate_too_large_for_a_float_exit_1(self, corpus, tmp_path, capsys):
+        gt = corpus / "annotations.json"
+        doc = json.loads(make_pred_file(tmp_path, gt).read_text())
+        first = doc["annotations"][0]
+        first["segmentation"][0][0] = 10 ** 400
+        pred = tmp_path / "huge.json"
+        pred.write_text(json.dumps(doc))
+        assert run("eval", gt, pred) == 1
+        err = capsys.readouterr().err
+        assert f"error: annotation {first['id']}: bad segmentation (" in err
+        assert "Traceback" not in err
+
     def test_deterministic_output_bytes(self, corpus, tmp_path):
         gt = corpus / "annotations.json"
         pred = make_pred_file(tmp_path, gt)
@@ -212,7 +224,7 @@ class TestPolygonize:
     def test_traces_square(self, tmp_path, capsys):
         poly = Polygon.from_points([(10, 12), (40, 12), (40, 44), (10, 44)])
         mask = rasterize(poly, 64, 64)
-        img = (mask.bits * 255).astype(np.uint8)
+        img = (mask * 255).astype(np.uint8)
         path = tmp_path / "mask.pgm"
         write_pgm(path, img)
         assert run("polygonize", path) == 0
@@ -226,7 +238,7 @@ class TestPolygonize:
         d = tmp_path / "masks"
         d.mkdir()
         poly = Polygon.from_points([(8, 8), (30, 8), (30, 30), (8, 30)])
-        write_pgm(d / "m1.pgm", (rasterize(poly, 48, 48).bits * 255).astype(np.uint8))
+        write_pgm(d / "m1.pgm", (rasterize(poly, 48, 48) * 255).astype(np.uint8))
         assert run("polygonize", d, "--epsilon", 1.0) == 0
         out = parse_coco(capsys.readouterr().out)
         assert len(out.annotations) == 1

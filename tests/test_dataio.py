@@ -76,6 +76,13 @@ class TestParseCoco:
         with pytest.raises(CocoFormatError, match="annotation 7: segmentation has 2 rings"):
             CocoDoc(data=data).gt_instances()
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "null", "[10.0]", '"abc"', "9" * 400],
+                             ids=["nan", "inf", "null", "nested", "string", "huge-int"])
+    def test_bad_coordinate_names_annotation(self, bad):
+        raw = json.dumps(MINIMAL).replace("[[10.0, 10.0,", f"[[{bad}, 10.0,")
+        with pytest.raises(CocoFormatError, match="annotation 7: bad segmentation"):
+            parse_coco(raw)
+
     def test_dangling_image_reference(self):
         data = dict(MINIMAL)
         data["annotations"] = [dict(MINIMAL["annotations"][0], image_id=99)]

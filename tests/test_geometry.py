@@ -6,8 +6,6 @@ import pytest
 from polymap.geometry import (
     BBox,
     Polygon,
-    RasterMask,
-    Vertex2,
     douglas_peucker,
     marching_squares,
     mask_iou,
@@ -47,8 +45,27 @@ class TestPolygonType:
             Polygon.from_points([(0, 0), (1, 1), (2, 2)])
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            Vertex2(float("nan"), 0.0)
+        with pytest.raises(ValueError, match=r"must be finite, got \(nan, 0\.0\)"):
+            Polygon([(0, 0), (1, 0), (math.nan, 0.0), (1, 1)])
+        # The first non-finite row is named, before the vertex count is checked.
+        with pytest.raises(ValueError, match=r"must be finite, got \(1\.0, inf\)"):
+            Polygon(np.array([(1.0, math.inf), (-math.inf, 0.0)]))
+
+    def test_vertices_are_read_only_c_float64(self):
+        for p in (UNIT_SQUARE, UNIT_SQUARE.translated(2, 3),
+                  normalize_orientation(UNIT_SQUARE, ccw=False)):
+            v = p.vertices
+            assert v.shape == (4, 2) and v.dtype == np.float64
+            assert v.flags.c_contiguous and not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0, 0] = 5.0
+
+    def test_construction_copies(self):
+        src = np.asfortranarray([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0]])
+        p = Polygon(src)
+        src[0, 0] = -7.0
+        assert p.vertices.tolist() == [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0]]
+        assert p.vertices.flags.c_contiguous
 
     def test_flat_round_trip(self):
         flat = [0.0, 0.0, 4.0, 0.0, 4.0, 3.0]
@@ -64,7 +81,7 @@ class TestSignedArea:
         assert signed_area(UNIT_SQUARE) == 1.0
 
     def test_reversed_square(self):
-        rev = Polygon(tuple(reversed(UNIT_SQUARE.vertices)))
+        rev = Polygon(UNIT_SQUARE.vertices[::-1])
         assert signed_area(rev) == -1.0
 
     def test_triangle_half_base_height(self):
@@ -80,7 +97,7 @@ class TestSignedArea:
                 p = Polygon.from_points(pts)
             except ValueError:
                 continue
-            rev = Polygon(tuple(reversed(p.vertices)))
+            rev = Polygon(p.vertices[::-1])
             assert signed_area(rev) == pytest.approx(-signed_area(p), abs=1e-12)
 
     def test_equals_np_roll_shoelace(self):
@@ -101,7 +118,7 @@ class TestNormalizeOrientation:
     def test_reversal(self):
         cw = normalize_orientation(UNIT_SQUARE, ccw=False)
         assert signed_area(cw) == -1.0
-        assert set(cw.vertices) == set(UNIT_SQUARE.vertices)
+        assert cw.vertices.tolist() == [[0, 0], [0, 1], [1, 1], [1, 0]]
 
     def test_idempotent(self):
         once = normalize_orientation(UNIT_SQUARE, ccw=False)
@@ -111,34 +128,35 @@ class TestNormalizeOrientation:
 class TestRasterize:
     def test_full_cover(self):
         m = rasterize(square(0, 0, 4), 4, 4)
-        assert m.count() == 16
+        assert m.shape == (4, 4) and m.dtype == np.bool_
+        assert np.count_nonzero(m) == 16
 
     def test_quadrant_count(self):
         # Centers (j+.5, i+.5) fall inside x,y in (0,4) only for i,j <= 3.
         m = rasterize(square(0, 0, 4), 8, 8)
-        assert m.count() == 16
-        assert m.bits[:4, :4].all()
-        assert not m.bits[4:, :].any()
-        assert not m.bits[:, 4:].any()
+        assert np.count_nonzero(m) == 16
+        assert m[:4, :4].all()
+        assert not m[4:, :].any()
+        assert not m[:, 4:].any()
 
     def test_sliver_between_centers(self):
         sliver = Polygon.from_points([(0.6, 0), (0.9, 0), (0.9, 4), (0.6, 4)])
-        assert rasterize(sliver, 4, 4).count() == 0
+        assert not rasterize(sliver, 4, 4).any()
 
     def test_centers_on_edge_count_inside(self):
         # Right edge passes exactly through the centers at x = 2.5.
         p = Polygon.from_points([(0, 0), (2.5, 0), (2.5, 3), (0, 3)])
         m = rasterize(p, 4, 3)
-        assert m.bits[:, 2].all()
-        assert not m.bits[:, 3].any()
+        assert m[:, 2].all()
+        assert not m[:, 3].any()
 
     def test_translation_consistency(self):
         p = Polygon.from_points([(1.2, 1.7), (5.1, 2.2), (4.3, 6.9)])
         base = rasterize(p, 16, 16)
         shifted = rasterize(p.translated(3, 2), 16, 16)
-        expect = np.zeros_like(base.bits)
-        expect[2:, 3:] = base.bits[:-2, :-3]
-        assert np.array_equal(shifted.bits, expect)
+        expect = np.zeros_like(base)
+        expect[2:, 3:] = base[:-2, :-3]
+        assert np.array_equal(shifted, expect)
 
 
 class TestMaskIou:
@@ -152,25 +170,25 @@ class TestMaskIou:
         assert mask_iou(a, b) == 0.0
 
     def test_one_shared_pixel_of_three(self):
-        a = RasterMask.from_array(np.array([[1, 1, 0]], dtype=bool))
-        b = RasterMask.from_array(np.array([[0, 1, 1]], dtype=bool))
+        a = np.array([[1, 1, 0]], dtype=bool)
+        b = np.array([[0, 1, 1]], dtype=bool)
         assert mask_iou(a, b) == pytest.approx(1 / 3)
 
     def test_both_empty_is_zero(self):
-        e = RasterMask.from_array(np.zeros((2, 2), dtype=bool))
+        e = np.zeros((2, 2), dtype=bool)
         assert mask_iou(e, e) == 0.0
 
     def test_dimension_mismatch(self):
-        a = RasterMask.from_array(np.zeros((2, 2), dtype=bool))
-        b = RasterMask.from_array(np.zeros((2, 3), dtype=bool))
+        a = np.zeros((2, 2), dtype=bool)
+        b = np.zeros((2, 3), dtype=bool)
         with pytest.raises(ValueError):
             mask_iou(a, b)
 
     def test_symmetric_and_bounded(self):
         rng = np.random.RandomState(3)
         for _ in range(20):
-            a = RasterMask.from_array(rng.rand(6, 6) > 0.5)
-            b = RasterMask.from_array(rng.rand(6, 6) > 0.5)
+            a = rng.rand(6, 6) > 0.5
+            b = rng.rand(6, 6) > 0.5
             v = mask_iou(a, b)
             assert v == mask_iou(b, a)
             assert 0.0 <= v <= 1.0
@@ -198,8 +216,7 @@ def _joint_frame_iou(a: Polygon, b: Polygon, resolution: int) -> float:
     height = max(1, int(math.ceil(h * scale - 1e-9)))
 
     def to_raster(p):
-        pts = [((v.x - x0) * scale, (v.y - y0) * scale) for v in p.vertices]
-        return naive_rasterize(Polygon.from_points(pts), width, height)
+        return naive_rasterize(Polygon((p.vertices - (x0, y0)) * scale), width, height)
 
     return mask_iou(to_raster(a), to_raster(b))
 
@@ -331,21 +348,21 @@ class TestRasterizeOracle:
             if not lattice:
                 p = p.translated(-10.0, -10.0)  # some rings leave the frame
             w, h = rng.randint(1, 24), rng.randint(1, 24)
-            assert np.array_equal(rasterize(p, w, h).bits, naive_rasterize(p, w, h).bits)
+            assert np.array_equal(rasterize(p, w, h), naive_rasterize(p, w, h))
 
     @pytest.mark.parametrize("name", sorted(_SPECIAL_RINGS))
     def test_special_rings_equal_oracle(self, name):
         p = _SPECIAL_RINGS[name]
         for w, h in ((16, 16), (7, 13), (20, 5)):
-            assert np.array_equal(rasterize(p, w, h).bits, naive_rasterize(p, w, h).bits)
+            assert np.array_equal(rasterize(p, w, h), naive_rasterize(p, w, h))
 
     def test_one_ulp_edge_leaves_its_center_row_out(self):
         # Flat, the bottom edge holds the centers of row 3 from x = 0.5 to
         # 11.5.  Raised by 1 ulp at its far end, it passes above them, so only
         # the start vertex's pixel stays.
-        flat = rasterize(rect(0.5, 3.5, 11.5, 5.5), 16, 16).bits
+        flat = rasterize(rect(0.5, 3.5, 11.5, 5.5), 16, 16)
         assert flat[3, :12].all() and not flat[3, 12:].any()
-        bits = rasterize(_SPECIAL_RINGS["one-ulp-dy"], 16, 16).bits
+        bits = rasterize(_SPECIAL_RINGS["one-ulp-dy"], 16, 16)
         assert bits[3].tolist() == [True] + [False] * 15
         assert np.array_equal(bits[4:], flat[4:])
 
@@ -354,9 +371,9 @@ class TestRasterizeOracle:
         # (22.5, 15.5) exactly, but 0.5 + 22 * (30 / 44) rounds to 2e-15
         # below 15.5; the fill leaves that pixel out, the edge rule keeps it.
         p = Polygon.from_points([(0.5, 0.5), (44.5, 30.5), (0.5, 30.5)])
-        bits = rasterize(p, 48, 32).bits
+        bits = rasterize(p, 48, 32)
         assert bits[15, 22] and not bits[15, 23]
-        assert np.array_equal(bits, naive_rasterize(p, 48, 32).bits)
+        assert np.array_equal(bits, naive_rasterize(p, 48, 32))
 
     @pytest.mark.parametrize("low", [False, True], ids=["past-max", "past-min"])
     @pytest.mark.parametrize("transpose", [False, True], ids=["x-major", "y-major"])
@@ -370,9 +387,9 @@ class TestRasterizeOracle:
         if transpose:
             pts, w, h, pixel = [(y, x) for x, y in pts], h, w, (110, 3)
         p = Polygon.from_points(pts)
-        bits = rasterize(p, w, h).bits
+        bits = rasterize(p, w, h)
         assert not bits[pixel]
-        assert np.array_equal(bits, naive_rasterize(p, w, h).bits)
+        assert np.array_equal(bits, naive_rasterize(p, w, h))
 
 
 def _oracle_ious(pairs, resolution):
@@ -422,12 +439,9 @@ class TestPolygonIous:
         assert polygon_ious([pairs[i] for i in perm], 32).tolist() == got[perm].tolist()
 
 
-def _point_chain_distance(pt: Vertex2, chain: list[Vertex2]) -> float:
+def _point_chain_distance(p: np.ndarray, chain: np.ndarray) -> float:
     best = math.inf
-    p = np.array([pt.x, pt.y])
-    for a, b in zip(chain, chain[1:]):
-        av = np.array([a.x, a.y])
-        bv = np.array([b.x, b.y])
+    for av, bv in zip(chain, chain[1:]):
         d = bv - av
         L2 = float(d @ d)
         t = 0.0 if L2 == 0 else max(0.0, min(1.0, float((p - av) @ d) / L2))
@@ -437,43 +451,41 @@ def _point_chain_distance(pt: Vertex2, chain: list[Vertex2]) -> float:
 
 class TestDouglasPeucker:
     def test_collinear_collapse(self):
-        line = [Vertex2(0, 0), Vertex2(1, 0), Vertex2(2, 0)]
-        assert douglas_peucker(line, 0.1) == [Vertex2(0, 0), Vertex2(2, 0)]
+        line = np.array([(0, 0), (1, 0), (2, 0)], dtype=np.float64)
+        assert douglas_peucker(line, 0.1).tolist() == [[0, 0], [2, 0]]
 
     def test_epsilon_zero_identity_for_noncollinear(self):
-        line = [Vertex2(0, 0), Vertex2(1, 0.3), Vertex2(2, -0.2), Vertex2(3, 0.1)]
-        assert douglas_peucker(line, 0.0) == line
+        line = np.array([(0, 0), (1, 0.3), (2, -0.2), (3, 0.1)])
+        assert douglas_peucker(line, 0.0).tolist() == line.tolist()
 
     def test_zigzag_within_half(self):
         # All deviations from the end chord are 0.4 < 0.5.
-        line = [Vertex2(0, 0), Vertex2(1, 0.4), Vertex2(2, 0), Vertex2(3, 0.4), Vertex2(4, 0)]
-        assert douglas_peucker(line, 0.5) == [Vertex2(0, 0), Vertex2(4, 0)]
+        line = np.array([(0, 0), (1, 0.4), (2, 0), (3, 0.4), (4, 0)])
+        assert douglas_peucker(line, 0.5).tolist() == [[0, 0], [4, 0]]
 
     def test_subsequence_and_epsilon_property(self):
         rng = np.random.RandomState(11)
         for _ in range(30):
             n = rng.randint(4, 15)
-            line = [Vertex2(float(i), float(rng.randn())) for i in range(n)]
+            line = np.array([(float(i), float(rng.randn())) for i in range(n)])
             eps = float(rng.rand() * 1.5)
             out = douglas_peucker(line, eps)
-            assert out[0] == line[0] and out[-1] == line[-1]
-            it = iter(line)
-            assert all(v in it for v in out)  # subsequence
-            for v in line:
-                if v not in out:
+            rows, kept = line.tolist(), out.tolist()
+            assert kept[0] == rows[0] and kept[-1] == rows[-1]
+            it = iter(rows)
+            assert all(v in it for v in kept)  # subsequence
+            for v, row in zip(line, rows):
+                if row not in kept:
                     assert _point_chain_distance(v, out) <= eps + 1e-12
 
     def test_simplify_polygon_epsilon_zero(self):
         p = Polygon.from_points([(0, 0), (5, 0.1), (5.2, 4), (0.3, 4.1)])
-        assert simplify_polygon(p, 0.0) == p
+        assert simplify_polygon(p, 0.0).to_flat() == p.to_flat()
 
 
 def _segments_of(p: Polygon):
-    n = len(p.vertices)
-    for i in range(n):
-        a = p.vertices[i]
-        b = p.vertices[(i + 1) % n]
-        yield (a.x, a.y), (b.x, b.y)
+    rows = [tuple(v) for v in p.vertices.tolist()]
+    yield from zip(rows, rows[1:] + rows[:1])
 
 
 def _proper_intersect(s1, s2) -> bool:
@@ -490,18 +502,23 @@ def _proper_intersect(s1, s2) -> bool:
 
 class TestMarchingSquares:
     def test_empty_mask(self):
-        m = RasterMask.from_array(np.zeros((4, 4), dtype=bool))
-        assert marching_squares(m) == []
+        assert marching_squares(np.zeros((4, 4), dtype=bool)) == []
+
+    def test_rejects_non_bool_or_non_2d(self):
+        with pytest.raises(ValueError, match="2-D bool"):
+            marching_squares(np.ones((4, 4), dtype=np.uint8))
+        with pytest.raises(ValueError, match="2-D bool"):
+            marching_squares(np.ones((2, 4, 4), dtype=bool))
 
     def test_single_pixel_diamond(self):
         bits = np.zeros((3, 3), dtype=bool)
         bits[1, 1] = True
-        contours = marching_squares(RasterMask.from_array(bits))
+        contours = marching_squares(bits)
         assert len(contours) == 1
         c = contours[0]
         assert len(c) == 4
         # The four cell-edge crossings around center (1.5, 1.5).
-        assert set((v.x, v.y) for v in c.vertices) == {
+        assert set(map(tuple, c.vertices.tolist())) == {
             (1.5, 1.0),
             (2.0, 1.5),
             (1.5, 2.0),
@@ -512,7 +529,7 @@ class TestMarchingSquares:
     def test_hole_is_clockwise(self):
         bits = np.ones((5, 5), dtype=bool)
         bits[2, 2] = False
-        contours = marching_squares(RasterMask.from_array(bits))
+        contours = marching_squares(bits)
         assert len(contours) == 2
         outer, hole = contours
         assert signed_area(outer) > 0
@@ -530,7 +547,7 @@ class TestMarchingSquares:
         rng = np.random.RandomState(5)
         for _ in range(40):
             bits = rng.rand(rng.randint(2, 17), rng.randint(2, 17)) > 0.6
-            contours = marching_squares(RasterMask.from_array(bits))
+            contours = marching_squares(bits)
             segs = [s for c in contours for s in _segments_of(c)]
             for i in range(len(segs)):
                 for j in range(i + 1, len(segs)):

@@ -331,7 +331,7 @@ class TestMta:
     def test_orientation_of_pred_irrelevant(self):
         base = square(0, 0, 10)
         pred = Polygon.from_points([(0, 0), (10.5, -0.2), (9.8, 10.1), (0.2, 9.9)])
-        flipped = Polygon(tuple(reversed(pred.vertices)))
+        flipped = Polygon(pred.vertices[::-1])
         assert mta(pred, base) == pytest.approx(mta(flipped, base), abs=1e-12)
 
     def test_bounded_by_pi(self):
@@ -353,7 +353,7 @@ class TestMta:
 
 
 def _assert_mta_equals_oracle(pred, gt, samples=32):
-    tables = [_arc_table(normalize_orientation(p, ccw=True).as_array()) for p in (pred, gt)]
+    tables = [_arc_table(normalize_orientation(p, ccw=True).vertices) for p in (pred, gt)]
     assert _start_arcs(*tables) == naive_start_arcs(*tables)
     assert mta(pred, gt, samples) == naive_mta(pred, gt, samples)
 
@@ -380,8 +380,8 @@ class TestMtaOracle:
         for _ in range(40):
             gt = square(rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(3, 8))
             pred = gt.translated(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            cw_pred = Polygon(tuple(reversed(pred.vertices)))
-            cw_gt = Polygon(tuple(reversed(gt.vertices)))
+            cw_pred = Polygon(pred.vertices[::-1])
+            cw_gt = Polygon(gt.vertices[::-1])
             for p, g in ((cw_pred, gt), (pred, cw_gt), (cw_pred, cw_gt)):
                 _assert_mta_equals_oracle(p, g)
 

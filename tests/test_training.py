@@ -34,7 +34,7 @@ def tiny_cfg(**overrides):
 
 def square_sample(cfg, size=16, x0=3, y0=2, w=10, h=9):
     poly = Polygon.from_points([(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)])
-    image = rasterize(poly, size, size).bits * 255.0
+    image = rasterize(poly, size, size) * 255.0
     return build_sample(image, poly, cfg)
 
 
@@ -125,7 +125,7 @@ class TestTrainStep:
         # 96 wide, 24 high: proposals and box targets follow each axis.
         cfg = tiny_cfg()
         poly = Polygon.from_points([(60, 5), (80, 5), (80, 19), (60, 19)])
-        sample = build_sample(rasterize(poly, 96, 24).bits * 255.0, poly, cfg)
+        sample = build_sample(rasterize(poly, 96, 24) * 255.0, poly, cfg)
         assert sample.image.shape == (1, 24, 96)
         rng = np.random.RandomState(0)
         for _ in range(40):
@@ -153,7 +153,7 @@ class TestOverfitAndDecode:
         cfg = PolygonHeadConfig.desk(grid_size=20)
         store = init_model(cfg, seed=0)
         poly = Polygon.from_points([(12, 10), (50, 10), (50, 44), (12, 44)])
-        image = rasterize(poly, 64, 64).bits * 255.0
+        image = rasterize(poly, 64, 64) * 255.0
         sample = build_sample(image, poly, cfg)
         reached = None
         for step in range(500):
@@ -185,8 +185,7 @@ class TestOverfitAndDecode:
         rows[4:, no_vertex_index(grid)] = 1.0
         poly, score = decode_prediction(rows, box, grid)
         assert score == 1.0
-        expect = [(9, 9), (23, 9), (23, 23), (9, 23)]
-        assert [(v.x, v.y) for v in poly.vertices] == expect
+        assert poly.vertices.tolist() == [[9, 9], [23, 9], [23, 23], [9, 23]]
 
     def test_decode_too_few_cells(self):
         grid = 8
