@@ -3,7 +3,9 @@
 The header carries the model configuration, the optimizer step counter,
 and a manifest of (name, kind, shape, byte offset) entries; array bytes
 follow in manifest order as little-endian 64-bit floats.  Round-trips are
-bit-exact.
+bit-exact.  Loading checks that the entries tile the data exactly: an entry
+that starts off the end of the previous one or runs past the file, and
+bytes after the last entry, are errors that name the file and the entry.
 """
 from __future__ import annotations
 
@@ -64,13 +66,23 @@ def load_checkpoint(path: str | Path) -> tuple[PolygonHeadConfig, ParamStore]:
     cfg = PolygonHeadConfig(**cfg_dict)
     store = ParamStore()
     store.step = int(header["step"])
+    end = 0
+    name = kind = None
     for entry in header["manifest"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=start).reshape(shape).copy()
         kind = entry["kind"]
         name = entry["name"]
+        if start != end:
+            raise ValueError(f"{path}: {kind} {name!r} starts at byte {start}, expected {end}")
+        end = start + 8 * count
+        if end > len(data):
+            raise ValueError(
+                f"{path}: {kind} {name!r} needs bytes {start}..{end}, "
+                f"but the data holds {len(data)}"
+            )
+        arr = np.frombuffer(data, dtype="<f8", count=count, offset=start).reshape(shape).copy()
         if kind == "param":
             store.add_param(name, arr)
         elif kind == "buffer":
@@ -81,4 +93,8 @@ def load_checkpoint(path: str | Path) -> tuple[PolygonHeadConfig, ParamStore]:
             store.moment2[name] = arr
         else:
             raise ValueError(f"unknown checkpoint entry kind {kind!r}")
+    if end != len(data):
+        raise ValueError(
+            f"{path}: {len(data) - end} bytes follow the last entry ({kind} {name!r})"
+        )
     return cfg, store

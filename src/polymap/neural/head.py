@@ -32,6 +32,7 @@ from .params import ParamStore
 from .tensor import (
     Tensor,
     add,
+    cast,
     concat,
     conv2d_1x1,
     layer_norm,
@@ -297,7 +298,8 @@ def decoder_forward(b_emd: Tensor, cfg: PolygonHeadConfig, store: ParamStore) ->
         b_emd = reshape(b_emd, (1,) + b_emd.shape)
     d = cfg.channels
     q = reshape(store["dec.query"], (1, cfg.queries, d))
-    pe = Tensor(sinusoidal_encoding(cfg.queries, d)[None, :, :], op="constant")
+    pe = sinusoidal_encoding(cfg.queries, d).astype(q.data.dtype, copy=False)
+    pe = Tensor(pe[None, :, :], op="constant")
     x = add(q, pe)
     for i in range(cfg.decoder_blocks):
         p = f"dec.block{i}"
@@ -315,6 +317,10 @@ def decoder_forward(b_emd: Tensor, cfg: PolygonHeadConfig, store: ParamStore) ->
 
 
 def vertex_dist_tensor(v_emd: Tensor, store: ParamStore) -> Tensor:
-    """Per-query categorical distributions as a graph tensor (softmax rows)."""
-    return softmax(linear(v_emd, store, "out"))
+    """Per-query categorical distributions as a graph tensor (softmax rows).
+
+    The logits are cast to float64 first, so the rows are float64
+    distributions whatever the head's compute dtype.
+    """
+    return softmax(cast(linear(v_emd, store, "out"), np.float64))
 

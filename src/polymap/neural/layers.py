@@ -143,10 +143,11 @@ def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
     return np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
 
 
-def _interpolation_matrix(coords: np.ndarray, size: int) -> np.ndarray:
+def _interpolation_matrix(coords: np.ndarray, size: int, dtype) -> np.ndarray:
     """(G, size) weights averaging the border-clamped bilinear samples of each bin.
 
     `coords` is (G, 2): the two sample positions of every bin along one axis.
+    The weights are formed in float64 and returned as `dtype`.
     """
     idx = np.clip(coords - 0.5, 0.0, size - 1.0)
     lo = np.floor(idx).astype(np.int64)
@@ -157,7 +158,7 @@ def _interpolation_matrix(coords: np.ndarray, size: int) -> np.ndarray:
     mat = np.zeros((coords.shape[0], size), dtype=np.float64)
     np.add.at(mat, (rows, lo.ravel()), (1.0 - frac.ravel()) / 2.0)
     np.add.at(mat, (rows, hi.ravel()), frac.ravel() / 2.0)
-    return mat
+    return mat.astype(dtype, copy=False)
 
 
 def roi_align_stack(features: Tensor, rois: list[tuple[int, BBox]], out_size: int) -> Tensor:
@@ -175,7 +176,8 @@ def roi_align_stack(features: Tensor, rois: list[tuple[int, BBox]], out_size: in
     g = out_size
     # Two samples per bin per axis, at the quarter points of each bin.
     steps = np.arange(g)[:, None] + (np.arange(2)[None, :] + 0.5) / 2.0  # (G, 2)
-    outputs = np.empty((len(rois), c, g, g), dtype=np.float64)
+    dtype = features.data.dtype
+    outputs = np.empty((len(rois), c, g, g), dtype=dtype)
     tables = []
     for r, (img, box) in enumerate(rois):
         if not 0 <= img < n:
@@ -183,8 +185,8 @@ def roi_align_stack(features: Tensor, rois: list[tuple[int, BBox]], out_size: in
         x0, y0, x1, y1 = box.corners()
         if x1 <= 0 or y1 <= 0 or x0 >= wf or y0 >= hf:
             raise ValueError(f"roi_align: box {box} does not intersect {wf}x{hf} feature")
-        ay = _interpolation_matrix(y0 + steps * (box.h / g), hf)
-        ax = _interpolation_matrix(x0 + steps * (box.w / g), wf)
+        ay = _interpolation_matrix(y0 + steps * (box.h / g), hf, dtype)
+        ax = _interpolation_matrix(x0 + steps * (box.w / g), wf, dtype)
         outputs[r] = (ay @ features.data[img]) @ ax.T
         tables.append((img, ay, ax))
 

@@ -1,4 +1,10 @@
-"""Named parameter/buffer store with a decoupled-weight-decay Adam update."""
+"""Named parameter/buffer store with a decoupled-weight-decay Adam update.
+
+A store made by `init_model` or `load_checkpoint` holds float64 masters:
+params, batch-norm running buffers and AdamW moments.  Training and
+inference compute on a float32 `working_copy` and hand its gradients back
+with `grads_from`, the master-weights pattern of mixed-precision training.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -31,6 +37,31 @@ class ParamStore:
         self.buffers[name] = np.asarray(array, dtype=np.float64)
         return self.buffers[name]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The params' dtype; forward passes compute in it."""
+        return next(iter(self.params.values())).data.dtype
+
+    def working_copy(self, dtype) -> ParamStore:
+        """The params cast to `dtype`, sharing this store's buffers; no moments.
+
+        Training-mode batch norm on the copy updates the shared running
+        statistics in place, so they stay float64.
+        """
+        work = ParamStore()
+        work.params = {
+            name: Tensor(t.data.astype(dtype), requires_grad=True)
+            for name, t in self.params.items()
+        }
+        work.buffers = self.buffers
+        return work
+
+    def grads_from(self, work: ParamStore) -> None:
+        """Set every param's gradient to its `working_copy` gradient in this dtype."""
+        for name, t in self.params.items():
+            g = work.params[name].grad
+            t.grad = None if g is None else g.astype(t.data.dtype)
+
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
@@ -39,10 +70,6 @@ class ParamStore:
 
     def buffer(self, name: str) -> np.ndarray:
         return self.buffers[name]
-
-    def zero_grads(self) -> None:
-        for t in self.params.values():
-            t.grad = None
 
     def adamw_step(
         self,

@@ -1,10 +1,16 @@
-"""Minimal reverse-mode autodiff over float64 numpy arrays.
+"""Minimal reverse-mode autodiff over float32 or float64 numpy arrays.
 
 Each op builds a node holding a backward closure; Tensor.backward() walks
 the graph once in reverse topological order.  Gradients accumulate into
 every tensor that requires them, so callers zero parameter grads between
 steps.  A graph instance is single-threaded; distinct graphs are
 independent.
+
+A tensor keeps a float32 or float64 array's dtype and stores anything else
+as float64.  Every op returns its inputs' dtype, arrays an op builds
+internally follow its input, and a gradient arriving at a tensor is cast to
+that tensor's dtype, so a graph over float32 leaves computes in float32
+throughout.  `cast` is the one op that changes dtype.
 """
 from __future__ import annotations
 
@@ -45,7 +51,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf"):
-        self.data = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        self.data = arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.op = op
@@ -110,6 +117,7 @@ def _needs_grad(t: Tensor) -> bool:
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not _needs_grad(t):
         return
+    g = g.astype(t.data.dtype, copy=False)
     t.grad = g if t.grad is None else t.grad + g
 
 
@@ -135,6 +143,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _check(cond: bool, op: str, msg: str) -> None:
     if not cond:
         raise ValueError(f"{op}: {msg}")
+
+
+def cast(x: Tensor, dtype) -> Tensor:
+    """`x` as `dtype`; the gradient flows back cast to `x`'s dtype."""
+    data = x.data.astype(dtype, copy=False)
+
+    def backward(g):
+        _accum(x, g)
+
+    return _node(data, (x,), "cast", backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -303,8 +321,10 @@ def batch_norm(
 
         return _node(data, (x, gamma, beta), "batch_norm", backward)
 
-    inv = 1.0 / np.sqrt(running_var + eps)
-    xhat = (x.data - running_mean.reshape(shape)) * inv.reshape(shape)
+    dtype = x.data.dtype
+    inv = (1.0 / np.sqrt(running_var + eps)).astype(dtype, copy=False)
+    mean = running_mean.astype(dtype, copy=False)
+    xhat = (x.data - mean.reshape(shape)) * inv.reshape(shape)
     data = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
 
     def backward(g):
@@ -320,7 +340,7 @@ _OFFSETS_3X3 = [(dy, dx) for dy in range(3) for dx in range(3)]
 
 def _im2col_3x3(xp: np.ndarray, h: int, w: int) -> np.ndarray:
     n, c = xp.shape[:2]
-    cols = np.empty((n, c, 9, h, w), dtype=np.float64)
+    cols = np.empty((n, c, 9, h, w), dtype=xp.dtype)
     for k, (dy, dx) in enumerate(_OFFSETS_3X3):
         cols[:, :, k] = xp[:, :, dy:dy + h, dx:dx + w]
     return cols.reshape(n, c * 9, h * w)
@@ -426,10 +446,11 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 def attach_loss(x: Tensor, fn, op: str = "external_loss") -> Tensor:
     """Bridge a numpy loss  fn(data) -> (value, grad)  into the graph.
 
-    The gradient is treated as exact at the current point; `fn` must return
-    d(value)/d(data) of matching shape.
+    `fn` sees the data as float64 whatever `x`'s dtype, and the loss node is
+    a float64 scalar.  The gradient is treated as exact at the current
+    point; `fn` must return d(value)/d(data) of matching shape.
     """
-    value, grad = fn(x.data)
+    value, grad = fn(np.asarray(x.data, dtype=np.float64))
     _check(grad.shape == x.data.shape, op,
            f"gradient shape {grad.shape} does not match input {x.data.shape}")
 

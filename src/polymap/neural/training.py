@@ -5,6 +5,11 @@ rasterized image crops; ROI-aligned instance features then flow through
 the encoder/decoder.  The polygon objective is the sequence loss plus the
 vertex/edge map focal losses; a small classification/box-regression branch
 over jittered proposals can be enabled to study joint-loss weightings.
+
+Training steps and inference run the head in float32 on a working copy of
+the store's float64 parameters; the losses and the AdamW update stay
+float64.  `compute_losses` and `forward_batch` on the float64 store itself
+are the float64 path the gradient checks use.
 """
 from __future__ import annotations
 
@@ -37,6 +42,9 @@ from .head import (
 from .layers import linear, roi_align_stack
 from .params import ParamStore
 from .tensor import Tensor, add, attach_loss, no_grad, relu, reshape, scale, sigmoid
+
+# The dtype that training steps and inference compute in.
+COMPUTE_DTYPE = np.float32
 
 
 @dataclass
@@ -103,7 +111,8 @@ def forward_batch(
 ):
     """Stem, ROI align, encoder, decoder, and class distributions for a batch.
 
-    Samples referencing the same image array share one stem pass.
+    Samples referencing the same image array share one stem pass.  The head
+    computes in the store's dtype; the distributions are float64.
     """
     slot: dict[int, int] = {}
     arrays: list[np.ndarray] = []
@@ -111,7 +120,7 @@ def forward_batch(
         if id(s.image) not in slot:
             slot[id(s.image)] = len(arrays)
             arrays.append(s.image)
-    images = Tensor(np.stack(arrays))
+    images = Tensor(np.stack(arrays).astype(store.dtype, copy=False))
     features = stem_forward(images, cfg, store, training)
     rois = [(slot[id(s.image)], s.box) for s in batch]
     instance_feats = roi_align_stack(features, rois, cfg.grid_size)
@@ -259,17 +268,20 @@ def train_step_detailed(
 ) -> LossBreakdown:
     """One forward/backward/update pass; returns the per-term loss breakdown.
 
-    The image stem plays the backbone's role and by default trains ten
-    times slower than the heads, matching the backbone/head learning-rate
-    ratio used for the full-scale model.
+    Forward and backward run on a float32 working copy of the params; its
+    gradients, cast to float64, stay on the store's params and drive the
+    update.  The image stem plays the backbone's role and by default trains
+    ten times slower than the heads, matching the backbone/head
+    learning-rate ratio used for the full-scale model.
     """
-    store.zero_grads()
+    work = store.working_copy(COMPUTE_DTYPE)
     total, breakdown = compute_losses(
-        store, cfg, batch, training=True, weights=weights, detection_rng=detection_rng
+        work, cfg, batch, training=True, weights=weights, detection_rng=detection_rng
     )
     if not math.isfinite(breakdown.total):
         raise FloatingPointError(f"non-finite training loss: {breakdown.total}")
     total.backward()
+    store.grads_from(work)
     store.adamw_step(lr=lr, weight_decay=weight_decay, lr_scales={"stem.": stem_lr_scale})
     return breakdown
 
@@ -278,11 +290,12 @@ def held_out_sv_loss(
     store: ParamStore, cfg: PolygonHeadConfig, samples: list[TrainSample], batch_size: int = 16
 ) -> float:
     """Mean sequence loss over samples, inference mode, no updates."""
+    work = store.working_copy(COMPUTE_DTYPE)
     rows = []
     with no_grad():
         for start in range(0, len(samples), batch_size):
             chunk = samples[start:start + batch_size]
-            dists, _, _, _, _ = forward_batch(store, cfg, chunk, training=False)
+            dists, _, _, _, _ = forward_batch(work, cfg, chunk, training=False)
             rows.append(dists.data)
     value, _ = sequence_loss(np.concatenate(rows), [s.tokens for s in samples])
     return value
@@ -332,12 +345,13 @@ def predict_batch(
     batch: list[TrainSample],
     chunk_size: int = 16,
 ) -> list[tuple[Polygon | None, float]]:
-    """Inference-mode polygon predictions for prepared samples."""
+    """Inference-mode polygon predictions for prepared samples, computed in float32."""
+    work = store.working_copy(COMPUTE_DTYPE)
     out: list[tuple[Polygon | None, float]] = []
     with no_grad():
         for start in range(0, len(batch), chunk_size):
             chunk = batch[start:start + chunk_size]
-            dists, _, _, _, _ = forward_batch(store, cfg, chunk, training=False)
+            dists, _, _, _, _ = forward_batch(work, cfg, chunk, training=False)
             out.extend(
                 decode_prediction(dists.data[r], chunk[r].box, cfg.grid_size)
                 for r in range(len(chunk))

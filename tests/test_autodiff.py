@@ -9,6 +9,7 @@ from polymap.neural.tensor import (
     add,
     attach_loss,
     batch_norm,
+    cast,
     concat,
     conv2d_1x1,
     conv2d_3x3,
@@ -240,6 +241,64 @@ class TestOpGradients:
             return float((data**2).sum()), 2.0 * data
 
         self.check(lambda: attach_loss(a, quad), {"a": a})
+
+
+class TestDtypes:
+    """Ops keep their inputs' dtype; only `cast` changes it."""
+
+    def test_tensor_keeps_float32_and_float64(self):
+        assert Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+        assert Tensor(np.ones(2)).data.dtype == np.float64
+        for other in ([1, 2], 3, np.ones(2, dtype=np.int64), np.ones(2, dtype=np.float16)):
+            assert Tensor(other).data.dtype == np.float64
+
+    def test_float32_graph_stays_float32(self):
+        rng = np.random.RandomState(40)
+
+        def leaf32(*shape):
+            return Tensor(rng.uniform(-1.0, 1.0, size=shape).astype(np.float32),
+                          requires_grad=True)
+
+        x, w3, b3 = leaf32(2, 2, 6, 6), leaf32(3, 2, 3, 3), leaf32(3)
+        gamma, beta, w1, b1 = leaf32(3), leaf32(3), leaf32(4, 3), leaf32(4)
+        rm, rv = np.zeros(3), np.ones(3)
+        h = relu(batch_norm(conv2d_3x3(x, w3, b3), gamma, beta, rm, rv, training=True))
+        h = batch_norm(h, gamma, beta, rm, rv, training=False)
+        h = sigmoid(conv2d_1x1(h, w1, b1))
+        boxes = [(0, BBox.from_xywh(1.0, 1.5, 3.0, 2.5)), (1, BBox.from_xywh(0, 0, 6, 6))]
+        h = roi_align_stack(h, boxes, 2)
+        t = reshape(h, (2, 4, 4))
+        t = layer_norm(t, leaf32(4), leaf32(4))
+        t = softmax(scale(matmul(t, transpose(t, (0, 2, 1))), 0.5))
+        out = cast(mean_all(mul(t, t)), np.float64)
+        assert rm.dtype == rv.dtype == np.float64
+        assert out.data.dtype == np.float64
+        loss = attach_loss(out, lambda data: (float(data), np.ones_like(data)))
+        loss.backward()
+        for leaf_ in (x, w3, b3, gamma, beta, w1, b1):
+            assert leaf_.grad.dtype == np.float32
+
+    def test_cast_round_trip_and_float64_no_op(self):
+        x = Tensor(np.linspace(-1.0, 1.0, 5).astype(np.float32), requires_grad=True)
+        y = cast(x, np.float64)
+        assert y.data.dtype == np.float64 and np.array_equal(y.data, x.data)
+        sum_all(scale(y, 3.0)).backward()
+        assert x.grad.dtype == np.float32 and np.array_equal(x.grad, np.full(5, 3.0))
+        z = Tensor(np.ones(3))
+        assert cast(z, np.float64).data is z.data
+
+    def test_attach_loss_sees_float64(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        seen = []
+
+        def loss(data):
+            seen.append(data.dtype)
+            return float(data.sum()), np.full(data.shape, 0.1)
+
+        out = attach_loss(x, loss)
+        assert seen == [np.float64] and out.data.dtype == np.float64
+        out.backward()
+        assert x.grad.dtype == np.float32
 
 
 class TestRoiAlign:

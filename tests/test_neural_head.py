@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,74 @@ class TestCheckpoint:
         bad.write_bytes(b'{"format":"something-else"}\n')
         with pytest.raises(ValueError, match="polymap-checkpoint"):
             load_checkpoint(bad)
+
+    @staticmethod
+    def saved(tmp_path):
+        """A checkpoint's header and data; the last manifest entry is moment2 'out.b'."""
+        cfg = tiny_cfg()
+        path = tmp_path / "model.pmck"
+        save_checkpoint(path, cfg, init_model(cfg, seed=3))
+        header, data = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        assert header["manifest"][-1]["name"] == "out.b"
+        return path, header, data
+
+    @staticmethod
+    def write(path, header, data):
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + data)
+
+    def test_entry_past_the_end_names_it(self, tmp_path):
+        path, header, data = self.saved(tmp_path)
+        header["manifest"][-1]["shape"][0] += 1
+        self.write(path, header, data)
+        with pytest.raises(ValueError, match=rf"{path}: moment2 'out\.b' needs bytes .* "
+                                             rf"but the data holds {len(data)}"):
+            load_checkpoint(path)
+
+    def test_entry_off_its_place_names_it(self, tmp_path):
+        path, header, data = self.saved(tmp_path)
+        entry = header["manifest"][1]
+        entry["offset"] += 8
+        self.write(path, header, data)
+        with pytest.raises(ValueError, match=rf"{path}: param '{entry['name']}' starts at byte"):
+            load_checkpoint(path)
+
+    def test_truncated_file_names_the_entry(self, tmp_path):
+        path, header, data = self.saved(tmp_path)
+        self.write(path, header, data[:-3])
+        with pytest.raises(ValueError, match=rf"{path}: moment2 'out\.b' needs bytes"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, header, data = self.saved(tmp_path)
+        self.write(path, header, data + bytes(8))
+        with pytest.raises(ValueError, match=rf"{path}: 8 bytes follow the last entry "
+                                             rf"\(moment2 'out\.b'\)"):
+            load_checkpoint(path)
+
+    def test_float32_trained_store_round_trips_as_float64(self, tmp_path):
+        from polymap.neural.training import build_sample, train_step_detailed
+        from polymap.geometry import Polygon, rasterize
+
+        cfg = tiny_cfg()
+        poly = Polygon.from_points([(3, 2), (13, 2), (13, 11), (3, 11)])
+        sample = build_sample(rasterize(poly, 16, 16) * 255.0, poly, cfg)
+        store = init_model(cfg, seed=4, detection=True)
+        rng = np.random.RandomState(0)
+        for _ in range(3):
+            train_step_detailed([sample, sample], store, cfg, lr=1e-3, detection_rng=rng)
+        first, second = tmp_path / "a.pmck", tmp_path / "b.pmck"
+        save_checkpoint(first, cfg, store)
+        cfg2, store2 = load_checkpoint(first)
+        save_checkpoint(second, cfg2, store2)
+        assert first.read_bytes() == second.read_bytes()
+        header, data = first.read_bytes().split(b"\n", 1)
+        count = sum(int(np.prod(e["shape"])) for e in json.loads(header)["manifest"])
+        assert len(data) == 8 * count
+        assert store2.step == 3
+        for name, t in store2.params.items():
+            assert t.data.dtype == np.float64
+            assert t.data.tobytes() == store.params[name].data.tobytes(), name
 
 
 class TestParamStore:

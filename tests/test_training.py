@@ -1,4 +1,5 @@
 import importlib
+import re
 import runpy
 import warnings
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from polymap.geometry import BBox, Polygon, rasterize
 from polymap.neural import training
 from polymap.neural.head import PolygonHeadConfig, init_model
+from polymap.neural.tensor import Tensor
 from polymap.neural.training import (
     _sample_proposals,
     build_sample,
@@ -36,6 +38,30 @@ def square_sample(cfg, size=16, x0=3, y0=2, w=10, h=9):
     poly = Polygon.from_points([(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)])
     image = rasterize(poly, size, size) * 255.0
     return build_sample(image, poly, cfg)
+
+
+def small_corpus(cfg):
+    """Four 32-pixel images with 7 rectangles; returns the document and its samples."""
+    from polymap.dataio import SynthSpec, gen_synthetic
+
+    doc, rasters = gen_synthetic(
+        SynthSpec(n_images=4, seed=9, image_size=32, families=("rect",), max_shapes=2)
+    )
+    return doc, corpus_samples(doc, rasters, cfg)
+
+
+def capture_dists(monkeypatch):
+    """The distributions of every `forward_batch` call from now on, in order."""
+    dists = []
+    inner = training.forward_batch
+
+    def capture(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        dists.append(out[0].data)
+        return out
+
+    monkeypatch.setattr(training, "forward_batch", capture)
+    return dists
 
 
 class TestBuildSample:
@@ -222,13 +248,8 @@ class TestToyLoop:
             assert np.array_equal(t.data, store2.params[name].data), name
 
     def test_held_out_and_predict_paths(self):
-        from polymap.dataio import SynthSpec, gen_synthetic
-
-        doc, rasters = gen_synthetic(
-            SynthSpec(n_images=4, seed=9, image_size=32, families=("rect",), max_shapes=2)
-        )
         cfg = tiny_cfg(grid_size=8)
-        samples = corpus_samples(doc, rasters, cfg)
+        doc, samples = small_corpus(cfg)
         store, _ = train_toy(samples, cfg, seed=0, epochs=1, batch_size=4, lr=1e-3)
         value = held_out_sv_loss(store, cfg, samples)
         assert np.isfinite(value) and value > 0
@@ -271,3 +292,104 @@ class TestBenchmarkHooks:
         sizes.clear()
         held_out_sv_loss(store, cfg, samples, batch_size=2)
         assert sizes == [2, 2, 1]
+
+
+class TestFloat32Compute:
+    """Training and inference compute in float32 on float64 master weights."""
+
+    # Analytically zero gradients: a conv bias before batch norm, and an
+    # attention key bias (softmax is invariant to a shift of every score).
+    ZERO_GRAD = re.compile(r"conv\.b$|\.wk\.b$")
+
+    @staticmethod
+    def record_nodes(monkeypatch):
+        """(op, dtype, shape) of every tensor built from now on, in order."""
+        records = []
+        original = Tensor.__init__
+
+        def recording(self, data, requires_grad=False, op="leaf"):
+            original(self, data, requires_grad, op)
+            records.append((op, self.data.dtype, self.data.shape))
+
+        monkeypatch.setattr(Tensor, "__init__", recording)
+        return records
+
+    @staticmethod
+    def assert_float32_until_cast(records, forwards):
+        """Only the casts, the softmax after each and the scalar losses are float64."""
+        assert sum(op == "cast" for op, _, _ in records) == forwards
+        for i, (op, dtype, shape) in enumerate(records):
+            wide = (op == "cast" or shape == ()
+                    or (op == "softmax" and records[i - 1][0] == "cast"))
+            assert dtype == (np.float64 if wide else np.float32), (i, op, dtype, shape)
+
+    def test_no_float64_leaks_into_train_step(self, monkeypatch):
+        cfg = tiny_cfg()
+        _, samples = small_corpus(cfg)
+        store = init_model(cfg, seed=0, detection=True)
+        buffers = {name: arr.copy() for name, arr in store.buffers.items()}
+        records = self.record_nodes(monkeypatch)
+        b = train_step_detailed(samples[:4], store, cfg, lr=1e-3,
+                                detection_rng=np.random.RandomState(0))
+        monkeypatch.undo()
+        for name, arr in store.buffers.items():  # running statistics of the masters moved
+            assert not np.array_equal(arr, buffers[name]), name
+        assert b.cls > 0.0 and b.ver > 0.0
+        self.assert_float32_until_cast(records, forwards=1)
+        assert {op for op, _, _ in records} >= {
+            "conv2d_3x3", "batch_norm", "roi_align", "layer_norm", "conv2d_1x1", "constant"}
+        for name, t in store.params.items():
+            assert t.data.dtype == np.float64 and t.grad.dtype == np.float64, name
+        for group in (store.buffers, store.moment1, store.moment2):
+            assert all(arr.dtype == np.float64 for arr in group.values())
+
+    def test_no_float64_leaks_into_predict_batch(self, monkeypatch):
+        cfg = tiny_cfg()
+        _, samples = small_corpus(cfg)
+        store = init_model(cfg, seed=0)
+        dists = capture_dists(monkeypatch)
+        records = self.record_nodes(monkeypatch)
+        predict_batch(store, cfg, samples, chunk_size=4)
+        monkeypatch.undo()
+        self.assert_float32_until_cast(records, forwards=2)
+        assert [d.dtype for d in dists] == [np.float64, np.float64]
+
+    def test_float32_gradients_match_the_float64_oracle(self):
+        cfg = tiny_cfg()
+        batch = small_corpus(cfg)[1][:6]
+        oracle = init_model(cfg, seed=0, detection=True)
+        total, _ = compute_losses(oracle, cfg, batch, detection_rng=np.random.RandomState(5))
+        total.backward()
+        store = init_model(cfg, seed=0, detection=True)
+        train_step_detailed(batch, store, cfg, lr=0.0, weight_decay=0.0,
+                            detection_rng=np.random.RandomState(5))
+        err2 = norm2 = 0.0
+        checked = 0
+        for name, t in store.params.items():
+            if self.ZERO_GRAD.search(name):
+                continue
+            want = oracle[name].grad
+            err = float(np.linalg.norm(t.grad - want))
+            norm = float(np.linalg.norm(want))
+            assert err <= 1e-4 * norm, (name, err / norm)
+            err2 += err * err
+            norm2 += norm * norm
+            checked += 1
+        assert checked > 40 and "det.cls.w" in store
+        assert np.sqrt(err2 / norm2) <= 1e-5
+
+    def test_chunked_predictions_equal_single_instance(self, monkeypatch):
+        cfg = tiny_cfg()
+        _, samples = small_corpus(cfg)
+        store, _ = train_toy(samples, cfg, seed=0, epochs=1, batch_size=4, lr=1e-3)
+        dists = capture_dists(monkeypatch)
+        chunked = predict_batch(store, cfg, samples, chunk_size=4)
+        alone = [predict_batch(store, cfg, [s])[0] for s in samples]
+        rows = np.concatenate(dists)
+        n = len(samples)
+        for r in range(n):
+            assert np.array_equal(rows[r], rows[n + r]), r
+            (pa, sa), (pb, sb) = chunked[r], alone[r]
+            assert sa == sb, r
+            assert (pa is None) == (pb is None), r
+            assert pa is None or pa.to_flat() == pb.to_flat(), r
