@@ -6,6 +6,10 @@ follow in manifest order as little-endian 64-bit floats.  Round-trips are
 bit-exact.  Loading checks that the entries tile the data exactly: an entry
 that starts off the end of the previous one or runs past the file, and
 bytes after the last entry, are errors that name the file and the entry.
+It then fills the store that `init_model` builds from the saved config,
+through the same `_entries` walk that saving writes with; an entry the
+model lacks, a model entry the file lacks and a shape that differs are
+errors that name the file and the entry.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .head import PolygonHeadConfig
+from .head import PolygonHeadConfig, init_model
 from .params import ParamStore
 
 FORMAT_NAME = "polymap-checkpoint-v1"
@@ -64,8 +68,7 @@ def load_checkpoint(path: str | Path) -> tuple[PolygonHeadConfig, ParamStore]:
     cfg_dict = dict(header["config"])
     cfg_dict["stem_channels"] = tuple(cfg_dict.get("stem_channels", ()))
     cfg = PolygonHeadConfig(**cfg_dict)
-    store = ParamStore()
-    store.step = int(header["step"])
+    arrays = {}
     end = 0
     name = kind = None
     for entry in header["manifest"]:
@@ -82,19 +85,27 @@ def load_checkpoint(path: str | Path) -> tuple[PolygonHeadConfig, ParamStore]:
                 f"{path}: {kind} {name!r} needs bytes {start}..{end}, "
                 f"but the data holds {len(data)}"
             )
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=start).reshape(shape).copy()
-        if kind == "param":
-            store.add_param(name, arr)
-        elif kind == "buffer":
-            store.add_buffer(name, arr)
-        elif kind == "moment1":
-            store.moment1[name] = arr
-        elif kind == "moment2":
-            store.moment2[name] = arr
-        else:
-            raise ValueError(f"unknown checkpoint entry kind {kind!r}")
+        if (kind, name) in arrays:
+            raise ValueError(f"{path}: {kind} {name!r} appears twice")
+        arrays[kind, name] = np.frombuffer(data, dtype="<f8", count=count,
+                                           offset=start).reshape(shape)
     if end != len(data):
         raise ValueError(
             f"{path}: {len(data) - end} bytes follow the last entry ({kind} {name!r})"
         )
+
+    store = init_model(cfg, detection=("param", "det.fc1.w") in arrays)
+    store.step = int(header["step"])
+    for name, kind, arr in _entries(store):
+        saved = arrays.pop((kind, name), None)
+        if saved is None:
+            raise ValueError(f"{path}: the model's {kind} {name!r} is missing from the file")
+        if saved.shape != arr.shape:
+            raise ValueError(
+                f"{path}: {kind} {name!r} has shape {saved.shape}, the model's is {arr.shape}"
+            )
+        arr[...] = saved
+    if arrays:
+        kind, name = next(iter(arrays))
+        raise ValueError(f"{path}: {kind} {name!r} is not in the model that the config builds")
     return cfg, store

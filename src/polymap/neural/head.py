@@ -126,9 +126,12 @@ class PolygonHeadConfig:
 def init_model(cfg: PolygonHeadConfig, seed: int = 0, detection: bool = False) -> ParamStore:
     """Create all parameters: conv stem, encoder, decoder, output projection.
 
-    Attention/linear weights are Glorot-uniform, biases zero, queries small
-    Gaussian.  With `detection`, small classification and box regression
-    heads over a 7x7 ROI are added.
+    This is the one definition of which parameters and buffers a model has:
+    `load_checkpoint` fills the store this builds and rejects a file whose
+    manifest differs from it.  Attention/linear weights are Glorot-uniform,
+    biases zero, queries small Gaussian; attention keys carry no bias.
+    With `detection`, small classification and box regression heads over a
+    7x7 ROI are added.
     """
     rng = np.random.RandomState(seed)
     store = ParamStore()

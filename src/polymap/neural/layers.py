@@ -94,8 +94,15 @@ def ffn(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
 
 def init_attention(store: ParamStore, rng: np.random.RandomState,
                    prefix: str, dim: int) -> None:
-    for name in ("wq", "wk", "wv", "wo"):
-        init_linear(store, rng, f"{prefix}.{name}", dim, dim)
+    """Query, key, value and output projections; the key projection has no bias.
+
+    A key bias b adds q.b to every score in a query's row, and softmax
+    cancels a shift of a whole row, so that bias would get a zero gradient.
+    """
+    init_linear(store, rng, f"{prefix}.wq", dim, dim)
+    store.add_param(f"{prefix}.wk.w", glorot_uniform(rng, (dim, dim), dim, dim))
+    init_linear(store, rng, f"{prefix}.wv", dim, dim)
+    init_linear(store, rng, f"{prefix}.wo", dim, dim)
 
 
 def _split_heads(t: Tensor, heads: int) -> Tensor:
@@ -121,10 +128,14 @@ def multi_head_attention(
     heads: int,
     return_weights: bool = False,
 ):
-    """Scaled dot-product attention with H heads and an output projection."""
+    """Scaled dot-product attention with H heads and an output projection.
+
+    Queries, values and the output are affine projections; keys are the
+    linear map `key @ wk.w` (see `init_attention`).
+    """
     dim = query.shape[-1]
     q = _split_heads(linear(query, store, f"{prefix}.wq"), heads)
-    k = _split_heads(linear(key, store, f"{prefix}.wk"), heads)
+    k = _split_heads(matmul(key, store[f"{prefix}.wk.w"]), heads)
     v = _split_heads(linear(value, store, f"{prefix}.wv"), heads)
     n = k.data.ndim
     scores = matmul(q, transpose(k, tuple(range(n - 2)) + (n - 1, n - 2)))

@@ -11,6 +11,10 @@ import numpy as np
 
 from .tensor import Tensor
 
+ADAMW_BETA1 = 0.9
+ADAMW_BETA2 = 0.999
+ADAMW_EPS = 1e-8
+
 
 class ParamStore:
     """Holds learnable tensors, persistent buffers, and optimizer moments."""
@@ -75,9 +79,6 @@ class ParamStore:
         self,
         lr: float,
         weight_decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
         lr_scales: dict[str, float] | None = None,
     ) -> None:
         """One decoupled-weight-decay adaptive update over all parameters.
@@ -86,8 +87,8 @@ class ParamStore:
         multipliers (e.g. a slower backbone-style group).
         """
         self.step += 1
-        bc1 = 1.0 - beta1**self.step
-        bc2 = 1.0 - beta2**self.step
+        bc1 = 1.0 - ADAMW_BETA1**self.step
+        bc2 = 1.0 - ADAMW_BETA2**self.step
         for name, p in self.params.items():
             rate = lr
             if lr_scales:
@@ -98,9 +99,9 @@ class ParamStore:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             m = self.moment1[name]
             v = self.moment2[name]
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+            m *= ADAMW_BETA1
+            m += (1.0 - ADAMW_BETA1) * g
+            v *= ADAMW_BETA2
+            v += (1.0 - ADAMW_BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAMW_EPS)
             p.data -= rate * (update + weight_decay * p.data)

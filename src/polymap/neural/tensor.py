@@ -26,6 +26,11 @@ _BACKWARD_SCALE: dict[str, float] = {}
 
 _GRAD_ENABLED: list[bool] = [True]
 
+LAYER_NORM_EPS = 1e-5
+BATCH_NORM_EPS = 1e-5
+# Weight of the current batch in batch norm's running statistics.
+BATCH_NORM_MOMENTUM = 0.1
+
 
 @contextlib.contextmanager
 def corrupt_gradient(op: str, factor: float = 2.0) -> Iterator[None]:
@@ -211,11 +216,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    data = np.where(mask, x.data, 0.0)
+    data = np.maximum(x.data, 0)
 
     def backward(g):
-        _accum(x, g * mask)
+        _accum(x, g * (data > 0))
 
     return _node(data, (x,), "relu", backward)
 
@@ -242,13 +246,13 @@ def softmax(x: Tensor) -> Tensor:
     return _node(data, (x,), "softmax", backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis, then apply the learnable affine map."""
     _check(gamma.data.shape == (x.data.shape[-1],), "layer_norm",
            f"gamma shape {gamma.data.shape} does not match feature dim {x.data.shape[-1]}")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
     data = gamma.data * xhat + beta.data
 
@@ -271,8 +275,6 @@ def batch_norm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Channel-wise normalization of an (N, C, H, W) tensor.
 
@@ -299,11 +301,11 @@ def batch_norm(
         var = (xhat * xhat).mean(axis=axes)
         n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
         unbiased = var * (n / max(1, n - 1))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
-        inv = 1.0 / np.sqrt(var + eps)
+        running_mean *= 1.0 - BATCH_NORM_MOMENTUM
+        running_mean += BATCH_NORM_MOMENTUM * mu
+        running_var *= 1.0 - BATCH_NORM_MOMENTUM
+        running_var += BATCH_NORM_MOMENTUM * unbiased
+        inv = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
         xhat *= inv.reshape(shape)
         data = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
 
@@ -322,7 +324,7 @@ def batch_norm(
         return _node(data, (x, gamma, beta), "batch_norm", backward)
 
     dtype = x.data.dtype
-    inv = (1.0 / np.sqrt(running_var + eps)).astype(dtype, copy=False)
+    inv = (1.0 / np.sqrt(running_var + BATCH_NORM_EPS)).astype(dtype, copy=False)
     mean = running_mean.astype(dtype, copy=False)
     xhat = (x.data - mean.reshape(shape)) * inv.reshape(shape)
     data = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)

@@ -244,6 +244,43 @@ class TestCheckpoint:
                                              rf"\(moment2 'out\.b'\)"):
             load_checkpoint(path)
 
+    def test_entry_the_model_lacks_names_it(self, tmp_path):
+        # The layout from before attention keys lost their bias.
+        cfg = tiny_cfg()
+        store = init_model(cfg, seed=3)
+        store.add_param("dec.block0.self.wk.b", np.zeros(cfg.channels))
+        path = tmp_path / "model.pmck"
+        save_checkpoint(path, cfg, store)
+        with pytest.raises(ValueError, match=rf"{path}: param 'dec\.block0\.self\.wk\.b' "
+                                             rf"is not in the model"):
+            load_checkpoint(path)
+
+    def test_model_entry_missing_from_the_file_names_it(self, tmp_path):
+        path, header, data = self.saved(tmp_path)
+        last = header["manifest"].pop()
+        self.write(path, header, data[:last["offset"]])
+        with pytest.raises(ValueError, match=rf"{path}: the model's moment2 'out\.b' "
+                                             rf"is missing from the file"):
+            load_checkpoint(path)
+
+    def test_shape_mismatch_names_the_entry(self, tmp_path):
+        path, header, data = self.saved(tmp_path)
+        entry = next(e for e in header["manifest"] if e["name"] == "dec.query")
+        assert entry["kind"] == "param" and entry["shape"] == [6, 16]
+        entry["shape"] = [16, 6]
+        self.write(path, header, data)
+        with pytest.raises(ValueError, match=rf"{path}: param 'dec\.query' has shape \(16, 6\), "
+                                             rf"the model's is \(6, 16\)"):
+            load_checkpoint(path)
+
+    def test_entry_twice_names_it(self, tmp_path):
+        path, header, data = self.saved(tmp_path)
+        again = dict(header["manifest"][-1], offset=len(data))
+        header["manifest"].append(again)
+        self.write(path, header, data + data[header["manifest"][-2]["offset"]:])
+        with pytest.raises(ValueError, match=rf"{path}: moment2 'out\.b' appears twice"):
+            load_checkpoint(path)
+
     def test_float32_trained_store_round_trips_as_float64(self, tmp_path):
         from polymap.neural.training import build_sample, train_step_detailed
         from polymap.geometry import Polygon, rasterize

@@ -9,7 +9,7 @@ import pytest
 
 from polymap.geometry import BBox, Polygon, rasterize
 from polymap.neural import training
-from polymap.neural.head import PolygonHeadConfig, init_model
+from polymap.neural.head import ENCODER_VARIANTS, PolygonHeadConfig, init_model
 from polymap.neural.tensor import Tensor
 from polymap.neural.training import (
     _sample_proposals,
@@ -26,6 +26,10 @@ from polymap.neural.training import (
 from polymap.polyloss import LossWeights, no_vertex_index
 
 warnings.filterwarnings("ignore", message="batch_norm training")
+
+# The params whose gradient is analytically zero: the bias of a conv that
+# feeds batch norm, which subtracts each channel's batch mean.
+PRE_BN_CONV_BIAS = re.compile(r"^(stem|enc\.wstem)\.\d+\.conv\.b$")
 
 
 def tiny_cfg(**overrides):
@@ -294,12 +298,25 @@ class TestBenchmarkHooks:
         assert sizes == [2, 2, 1]
 
 
+class TestGradientStructure:
+    @pytest.mark.parametrize("variant", ENCODER_VARIANTS)
+    def test_only_pre_bn_conv_biases_get_no_gradient(self, variant):
+        cfg = tiny_cfg(encoder_variant=variant)
+        batch = small_corpus(cfg)[1][:6]
+        store = init_model(cfg, seed=0, detection=True)
+        total, _ = compute_losses(store, cfg, batch, detection_rng=np.random.RandomState(5))
+        total.backward()
+        norms = {name: float(np.linalg.norm(t.grad)) for name, t in store.params.items()}
+        floor = 1e-10 * np.sqrt(sum(n * n for n in norms.values()))
+        vanishing = {name for name, n in norms.items() if n <= floor}
+        assert vanishing == {name for name in store.params if PRE_BN_CONV_BIAS.match(name)}
+        assert "stem.0.conv.b" in vanishing and "det.cls.w" in store
+
+
 class TestFloat32Compute:
     """Training and inference compute in float32 on float64 master weights."""
 
-    # Analytically zero gradients: a conv bias before batch norm, and an
-    # attention key bias (softmax is invariant to a shift of every score).
-    ZERO_GRAD = re.compile(r"conv\.b$|\.wk\.b$")
+    ZERO_GRAD = PRE_BN_CONV_BIAS
 
     @staticmethod
     def record_nodes(monkeypatch):
