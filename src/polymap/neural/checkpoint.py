@@ -8,8 +8,8 @@ that starts off the end of the previous one or runs past the file, and
 bytes after the last entry, are errors that name the file and the entry.
 It then fills the store that `init_model` builds from the saved config,
 through the same `_entries` walk that saving writes with; an entry the
-model lacks, a model entry the file lacks and a shape that differs are
-errors that name the file and the entry.
+model lacks, a model entry the file lacks, an entry listed twice and a
+shape that differs are errors that name the file and the entry.
 """
 from __future__ import annotations
 
