@@ -6,14 +6,13 @@ import math
 import numpy as np
 
 from ..geometry import BBox
+from . import tensor
 from .params import ParamStore
 from .tensor import (
     Tensor,
     _accum,
     _node,
     add,
-    batch_norm,
-    conv2d_3x3,
     matmul,
     relu,
     reshape,
@@ -65,21 +64,18 @@ def init_batch_norm(store: ParamStore, prefix: str, channels: int) -> None:
     store.add_buffer(f"{prefix}.running_var", np.ones(channels))
 
 
-def apply_batch_norm(x: Tensor, store: ParamStore, prefix: str, training: bool) -> Tensor:
-    return batch_norm(
+def conv_bn_relu(x: Tensor, store: ParamStore, prefix: str, training: bool) -> Tensor:
+    """The 3x3 conv, batch norm and ReLU block at `prefix`, as the engine's fused op."""
+    return tensor.conv_bn_relu(
         x,
-        store[f"{prefix}.gamma"],
-        store[f"{prefix}.beta"],
-        store.buffer(f"{prefix}.running_mean"),
-        store.buffer(f"{prefix}.running_var"),
+        store[f"{prefix}.conv.w"],
+        store[f"{prefix}.conv.b"],
+        store[f"{prefix}.bn.gamma"],
+        store[f"{prefix}.bn.beta"],
+        store.buffer(f"{prefix}.bn.running_mean"),
+        store.buffer(f"{prefix}.bn.running_var"),
         training,
     )
-
-
-def conv_bn_relu(x: Tensor, store: ParamStore, prefix: str, training: bool) -> Tensor:
-    x = conv2d_3x3(x, store[f"{prefix}.conv.w"], store[f"{prefix}.conv.b"])
-    x = apply_batch_norm(x, store, f"{prefix}.bn", training)
-    return relu(x)
 
 
 def init_ffn(store: ParamStore, rng: np.random.RandomState,

@@ -250,10 +250,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis, then apply the learnable affine map."""
     _check(gamma.data.shape == (x.data.shape[-1],), "layer_norm",
            f"gamma shape {gamma.data.shape} does not match feature dim {x.data.shape[-1]}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # Centre once; the centred array serves the variance and becomes x-hat.
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv
+    xhat *= inv
     data = gamma.data * xhat + beta.data
 
     def backward(g):
@@ -340,44 +341,173 @@ def batch_norm(
 _OFFSETS_3X3 = [(dy, dx) for dy in range(3) for dx in range(3)]
 
 
-def _im2col_3x3(xp: np.ndarray, h: int, w: int) -> np.ndarray:
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, 9, h, w), dtype=xp.dtype)
+def _check_conv3x3(x: Tensor, w: Tensor, op: str) -> None:
+    _check(x.data.ndim == 4, op, f"expected (N, C, H, W), got {x.data.shape}")
+    _check(w.data.ndim == 4 and w.data.shape[2:] == (3, 3), op,
+           f"expected (F, C, 3, 3) weights, got {w.data.shape}")
+    _check(w.data.shape[1] == x.data.shape[1], op,
+           f"input has {x.data.shape[1]} channels, weights expect {w.data.shape[1]}")
+
+
+def _im2col_3x3(x: np.ndarray) -> np.ndarray:
+    """The (N, C*9, H*W) columns of (N, C, H, W) `x`, zero-padded by 1."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
+    xp[:, :, 1:-1, 1:-1] = x
+    cols = np.empty((n, c, 9, h, w), dtype=x.dtype)
     for k, (dy, dx) in enumerate(_OFFSETS_3X3):
         cols[:, :, k] = xp[:, :, dy:dy + h, dx:dx + w]
     return cols.reshape(n, c * 9, h * w)
 
 
+def _conv3x3(x: np.ndarray, wm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bias-free (N, F, H, W) conv of `x` by (F, C*9) `wm`, and its columns."""
+    n, _, h, w = x.shape
+    cols = _im2col_3x3(x)
+    out = np.matmul(wm[None, :, :], cols)  # (N, F, H*W)
+    return out.reshape(n, wm.shape[0], h, w), cols
+
+
+def _conv3x3_grads(g: np.ndarray, cols: np.ndarray, wm: np.ndarray, x: Tensor):
+    """Bias, weight and input gradients of a 3x3 conv from its output gradient.
+
+    The input gradient is None when `x` takes none, e.g. the image under the
+    first stem conv.
+    """
+    n, c, h, w = x.data.shape
+    f = wm.shape[0]
+    gm = g.reshape(n, f, h * w)
+    gb = g.sum(axis=(0, 2, 3))
+    gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(f, c, 3, 3)
+    if not _needs_grad(x):
+        return gb, gw, None
+    gcols = np.matmul(wm.T[None, :, :], gm).reshape(n, c, 9, h, w)
+    gxp = np.zeros((n, c, h + 2, w + 2), dtype=x.data.dtype)
+    for k, (dy, dx) in enumerate(_OFFSETS_3X3):
+        gxp[:, :, dy:dy + h, dx:dx + w] += gcols[:, :, k]
+    return gb, gw, gxp[:, :, 1:-1, 1:-1]
+
+
 def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """3x3 convolution, stride 1, zero padding 1, on (N, C, H, W)."""
-    _check(x.data.ndim == 4, "conv2d_3x3", f"expected (N, C, H, W), got {x.data.shape}")
-    _check(w.data.ndim == 4 and w.data.shape[2:] == (3, 3), "conv2d_3x3",
-           f"expected (F, C, 3, 3) weights, got {w.data.shape}")
-    _check(w.data.shape[1] == x.data.shape[1], "conv2d_3x3",
-           f"input has {x.data.shape[1]} channels, weights expect {w.data.shape[1]}")
-    n, c, h, ww = x.data.shape
+    _check_conv3x3(x, w, "conv2d_3x3")
     f = w.data.shape[0]
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = _im2col_3x3(xp, h, ww)  # (N, C*9, H*W)
-    wm = w.data.reshape(f, c * 9)
-    out = np.matmul(wm[None, :, :], cols)  # (N, F, H*W)
-    data = out.reshape(n, f, h, ww) + b.data.reshape(1, f, 1, 1)
+    wm = w.data.reshape(f, -1)
+    out, cols = _conv3x3(x.data, wm)
+    data = out + b.data.reshape(1, f, 1, 1)
 
     def backward(g):
-        gm = g.reshape(n, f, h * ww)
-        _accum(b, g.sum(axis=(0, 2, 3)))
-        gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)  # (F, C*9)
-        _accum(w, gw.reshape(f, c, 3, 3))
-        if not _needs_grad(x):  # e.g. the image under the first stem conv
-            return
-        gcols = np.matmul(wm.T[None, :, :], gm)  # (N, C*9, H*W)
-        gcols = gcols.reshape(n, c, 9, h, ww)
-        gxp = np.zeros_like(xp)
-        for k, (dy, dx) in enumerate(_OFFSETS_3X3):
-            gxp[:, :, dy:dy + h, dx:dx + ww] += gcols[:, :, k]
-        _accum(x, gxp[:, :, 1:-1, 1:-1])
+        gb, gw, gx = _conv3x3_grads(g, cols, wm, x)
+        _accum(b, gb)
+        _accum(w, gw)
+        if gx is not None:
+            _accum(x, gx)
 
     return _node(data, (x, w, b), "conv2d_3x3", backward)
+
+
+def conv_bn_relu(
+    x: Tensor,
+    w: Tensor,
+    b: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    training: bool,
+) -> Tensor:
+    """relu(batch_norm(conv2d_3x3(x, w, b), gamma, beta, ...)) as one node.
+
+    Training mode does the three ops' arithmetic in the same order, so its
+    output, gradients and running statistics equal theirs bit for bit; it
+    works in place and keeps only the im2col columns, x-hat and the output
+    for the backward.  Inference mode folds batch norm into the conv: with
+    s = gamma / sqrt(running_var + eps) per output channel, it convolves by
+    w s and adds beta + (b - running_mean) s, both formed in float64 and
+    cast to `x`'s dtype, so it matches the three ops to rounding.
+    """
+    _check_conv3x3(x, w, "conv_bn_relu")
+    f = w.data.shape[0]
+    _check(gamma.data.shape == (f,), "conv_bn_relu",
+           f"gamma shape {gamma.data.shape} does not match {f} channels")
+    if training:
+        return _conv_bn_relu_training(x, w, b, gamma, beta, running_mean, running_var)
+    return _conv_bn_relu_folded(x, w, b, gamma, beta, running_mean, running_var)
+
+
+def _conv_bn_relu_training(x, w, b, gamma, beta, running_mean, running_var) -> Tensor:
+    n, _, h, ww = x.data.shape
+    f = w.data.shape[0]
+    if n < 2:
+        warnings.warn(
+            "batch_norm training with batch size < 2 falls back to "
+            "single-instance statistics",
+            stacklevel=3,
+        )
+    shape = (1, f, 1, 1)
+    axes = (0, 2, 3)
+    wm = w.data.reshape(f, -1)
+    xhat, cols = _conv3x3(x.data, wm)
+    xhat += b.data.reshape(shape)
+    mu = xhat.mean(axis=axes)
+    xhat -= mu.reshape(shape)
+    var = (xhat * xhat).mean(axis=axes)
+    count = n * h * ww
+    unbiased = var * (count / max(1, count - 1))
+    running_mean *= 1.0 - BATCH_NORM_MOMENTUM
+    running_mean += BATCH_NORM_MOMENTUM * mu
+    running_var *= 1.0 - BATCH_NORM_MOMENTUM
+    running_var += BATCH_NORM_MOMENTUM * unbiased
+    inv = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
+    xhat *= inv.reshape(shape)
+    data = gamma.data.reshape(shape) * xhat
+    data += beta.data.reshape(shape)
+    np.maximum(data, 0, out=data)
+
+    def backward(g):
+        # The ReLU mask, then batch_norm's backward in place on the masked copy.
+        gy = g * (data > 0)
+        sum_g = gy.sum(axis=axes)
+        sum_gx = np.einsum("nchw,nchw->c", gy, xhat)
+        _accum(gamma, sum_gx)
+        _accum(beta, sum_g)
+        gy *= count
+        gy -= sum_g.reshape(shape)
+        gy -= xhat * sum_gx.reshape(shape)
+        gy *= (gamma.data * inv / count).reshape(shape)
+        gb, gw, gx = _conv3x3_grads(gy, cols, wm, x)
+        _accum(b, gb)
+        _accum(w, gw)
+        if gx is not None:
+            _accum(x, gx)
+
+    return _node(data, (x, w, b, gamma, beta), "conv_bn_relu", backward)
+
+
+def _conv_bn_relu_folded(x, w, b, gamma, beta, running_mean, running_var) -> Tensor:
+    f = w.data.shape[0]
+    dtype = x.data.dtype
+    inv = 1.0 / np.sqrt(running_var + BATCH_NORM_EPS)
+    s = gamma.data.astype(np.float64) * inv
+    w64 = w.data.astype(np.float64, copy=False)
+    shift = b.data.astype(np.float64) - running_mean
+    wm = (w64 * s.reshape(f, 1, 1, 1)).astype(dtype).reshape(f, -1)
+    bias = (beta.data.astype(np.float64) + shift * s).astype(dtype)
+    data, cols = _conv3x3(x.data, wm)
+    data += bias.reshape(1, f, 1, 1)
+    np.maximum(data, 0, out=data)
+
+    def backward(g):
+        # Gradients of the folded w' and b', then the chain rule through the fold.
+        gb, gw, gx = _conv3x3_grads(g * (data > 0), cols, wm, x)
+        _accum(w, gw * s.reshape(f, 1, 1, 1))
+        _accum(b, gb * s)
+        _accum(gamma, inv * ((gw * w64).sum(axis=(1, 2, 3)) + gb * shift))
+        _accum(beta, gb)
+        if gx is not None:
+            _accum(x, gx)
+
+    return _node(data, (x, w, b, gamma, beta), "conv_bn_relu", backward)
 
 
 def conv2d_1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -114,6 +114,18 @@ def naive_roi_align(
     return values, grad
 
 
+def naive_conv_bn_relu(x, w, b, gamma, beta, running_mean, running_var, training):
+    """Reference `tensor.conv_bn_relu`: the three engine ops it fuses, one node each.
+
+    In training mode the fused op must equal this bit for bit; in inference
+    mode, where it folds batch norm into the conv, to rounding.
+    """
+    from .neural import tensor as T
+
+    h = T.conv2d_3x3(x, w, b)
+    return T.relu(T.batch_norm(h, gamma, beta, running_mean, running_var, training))
+
+
 def _on_segment_mask(xs: np.ndarray, ys: np.ndarray, p1, p2) -> np.ndarray:
     """Boolean grid of (ys, xs) points lying exactly on segment p1-p2."""
     x1, y1 = p1
@@ -340,10 +352,26 @@ def _op_checks(rng: np.random.RandomState):
     c1_x, c1_w, c1_b = leaf(2, 3, 4, 4), leaf(2, 3), leaf(2)
     c1_m = T.Tensor(rng.standard_normal((2, 2, 4, 4)))
     cc_a, cc_b = leaf(2, 6), leaf(2, 6)
+    # The fused op draws from its own stream, so the other checks see the
+    # same inputs as without it.
+    crng = np.random.RandomState(11)
+    cbr = {name: T.Tensor(crng.uniform(-1.0, 1.0, size=shape), requires_grad=True)
+           for name, shape in (("x", (2, 2, 4, 4)), ("w", (3, 2, 3, 3)), ("b", (3,)),
+                               ("beta", (3,)))}
+    cbr["gamma"] = T.Tensor(crng.uniform(0.5, 1.5, 3), requires_grad=True)
+    cbr_mean, cbr_var = crng.uniform(-0.5, 0.5, 3), crng.uniform(0.5, 2.0, 3)
+    cbr_m = T.Tensor(crng.standard_normal((2, 3, 4, 4)))
 
     def bn_build():
         return T.sum_all(T.mul(
             T.batch_norm(bn_x, bn_g, bn_b, np.zeros(3), np.ones(3), training=True), bn_w))
+
+    def cbr_build():
+        # Training mode on fresh running statistics, plus inference mode on fixed ones.
+        args = [cbr[k] for k in ("x", "w", "b", "gamma", "beta")]
+        train = T.conv_bn_relu(*args, np.zeros(3), np.ones(3), training=True)
+        infer = T.conv_bn_relu(*args, cbr_mean, cbr_var, training=False)
+        return T.sum_all(T.mul(T.add(train, infer), cbr_m))
 
     def concat_build():
         c = T.concat([T.reshape(cc_a, (2, 3, 2)), T.reshape(cc_b, (2, 3, 2))], axis=1)
@@ -365,6 +393,7 @@ def _op_checks(rng: np.random.RandomState):
         ("batch_norm", bn_build, {"x": bn_x, "gamma": bn_g, "beta": bn_b}),
         ("conv2d_3x3", lambda: T.sum_all(T.mul(T.conv2d_3x3(c3_x, c3_w, c3_b), c3_m)),
          {"x": c3_x, "w": c3_w, "b": c3_b}),
+        ("conv_bn_relu", cbr_build, cbr),
         ("conv2d_1x1", lambda: T.sum_all(T.mul(T.conv2d_1x1(c1_x, c1_w, c1_b), c1_m)),
          {"x": c1_x, "w": c1_w, "b": c1_b}),
         ("concat", concat_build, {"a": cc_a, "b": cc_b}),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from polymap.neural.tensor import (
     concat,
     conv2d_1x1,
     conv2d_3x3,
+    conv_bn_relu,
     corrupt_gradient,
     layer_norm,
     matmul,
@@ -27,7 +30,7 @@ from polymap.neural.tensor import (
     sum_all,
     transpose,
 )
-from polymap.selftest import naive_roi_align
+from polymap.selftest import naive_conv_bn_relu, naive_roi_align
 
 TOL = 1e-5
 
@@ -299,6 +302,119 @@ class TestDtypes:
         assert seen == [np.float64] and out.data.dtype == np.float64
         out.backward()
         assert x.grad.dtype == np.float32
+
+
+class TestConvBnRelu:
+    """The fused op against `naive_conv_bn_relu`, the three ops it replaces."""
+
+    NAMES = ("x", "w", "b", "gamma", "beta")
+    # Inference mode folds batch norm into the conv, so it matches the three
+    # ops to rounding: max |diff| <= tol * max |ref|.
+    FOLD_TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+    @staticmethod
+    def inputs(dtype, n, seed):
+        rng = np.random.RandomState(seed)
+        arrays = {
+            "x": rng.uniform(-1.0, 1.0, size=(n, 3, 5, 6)),
+            "w": rng.uniform(-0.5, 0.5, size=(4, 3, 3, 3)),
+            "b": rng.uniform(-0.5, 0.5, size=4),
+            "gamma": rng.uniform(0.5, 1.5, size=4),
+            "beta": rng.uniform(-0.5, 0.5, size=4),
+        }
+        stats = (rng.uniform(-0.5, 0.5, size=4), rng.uniform(0.5, 2.0, size=4))
+        upstream = rng.standard_normal((n, 4, 5, 6)).astype(dtype)
+        return {k: a.astype(dtype) for k, a in arrays.items()}, stats, upstream
+
+    def run(self, op, arrays, stats, upstream, training, x_grad=True):
+        """Output, the five gradients and the running statistics after one backward."""
+        leaves = {k: Tensor(a.copy(), requires_grad=(k != "x" or x_grad))
+                  for k, a in arrays.items()}
+        mean, var = stats[0].copy(), stats[1].copy()
+        out = op(*(leaves[k] for k in self.NAMES), mean, var, training)
+        sum_all(mul(out, Tensor(upstream))).backward()
+        grads = {k: t.grad for k, t in leaves.items()}
+        return out, grads, mean, var
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_training_equals_the_three_ops(self, dtype, n):
+        case = self.inputs(dtype, n, seed=70 + n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = self.run(conv_bn_relu, *case, training=True)
+            want = self.run(naive_conv_bn_relu, *case, training=True)
+        assert sum("batch size < 2" in str(w.message) for w in caught) == (2 if n == 1 else 0)
+        out, grads, mean, var = got
+        assert out.op == "conv_bn_relu" and out.data.dtype == dtype
+        assert np.array_equal(out.data, want[0].data)
+        for k in self.NAMES:
+            assert grads[k].dtype == dtype, k
+            assert np.array_equal(grads[k], want[1][k]), k
+        assert np.array_equal(mean, want[2]) and np.array_equal(var, want[3])
+        assert not np.array_equal(mean, case[1][0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inference_folds_to_within_rounding(self, dtype):
+        case = self.inputs(dtype, 3, seed=80)
+        out, grads, mean, var = self.run(conv_bn_relu, *case, training=False)
+        want = self.run(naive_conv_bn_relu, *case, training=False)
+        tol = self.FOLD_TOL[dtype]
+
+        def close(a, b):
+            return np.abs(a - b).max() <= tol * np.abs(b).max()
+
+        assert out.data.dtype == dtype and close(out.data, want[0].data)
+        assert (out.data > 0).any() and (out.data == 0).any()
+        for k in self.NAMES:
+            assert grads[k].dtype == dtype and close(grads[k], want[1][k]), k
+        assert np.array_equal(mean, case[1][0]) and np.array_equal(var, case[1][1])
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_input_without_gradient(self, training):
+        # The first stem block reads the image, which takes no gradient.
+        case = self.inputs(np.float64, 2, seed=90)
+        _, grads, _, _ = self.run(conv_bn_relu, *case, training=training, x_grad=False)
+        _, want, _, _ = self.run(naive_conv_bn_relu, *case, training=training, x_grad=False)
+        assert grads["x"] is None
+        for k in self.NAMES[1:]:
+            assert np.abs(grads[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_finite_differences(self, training):
+        rng = np.random.RandomState(24)
+        x, w, b, beta = leaf(rng, 2, 2, 4, 4), leaf(rng, 3, 2, 3, 3), leaf(rng, 3), leaf(rng, 3)
+        gamma = Tensor(rng.uniform(0.5, 1.5, size=3), requires_grad=True)
+        mean, var = rng.uniform(-0.5, 0.5, 3), rng.uniform(0.5, 2.0, 3)
+        m = Tensor(np.random.RandomState(92).randn(2, 3, 4, 4))
+
+        def build():
+            stats = (np.zeros(3), np.ones(3)) if training else (mean, var)
+            return sum_all(mul(conv_bn_relu(x, w, b, gamma, beta, *stats, training), m))
+
+        err = finite_difference_check(
+            build, {"x": x, "w": w, "b": b, "gamma": gamma, "beta": beta},
+            rng=np.random.RandomState(25))
+        assert err < TOL
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_leaves_its_incoming_gradient_alone(self, training):
+        # `add` hands one gradient array to both operands, and `_accum`
+        # keeps it by reference as `other.grad`.
+        arrays, stats, upstream = self.inputs(np.float64, 2, seed=100)
+        leaves = [Tensor(arrays[k], requires_grad=True) for k in self.NAMES]
+        other = Tensor(np.zeros_like(upstream), requires_grad=True)
+        out = conv_bn_relu(*leaves, *stats, training)
+        sum_all(mul(add(out, other), Tensor(upstream))).backward()
+        assert np.array_equal(other.grad, upstream)
+
+    def test_shape_errors_name_the_op(self):
+        x, w = Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 2, 3, 3)))
+        b, stats = Tensor(np.zeros(3)), (np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError, match="conv_bn_relu: input has 2 channels"):
+            conv_bn_relu(x, Tensor(np.ones((3, 5, 3, 3))), b, b, b, *stats, False)
+        with pytest.raises(ValueError, match="conv_bn_relu: gamma shape"):
+            conv_bn_relu(x, w, b, Tensor(np.ones(2)), b, *stats, True)
 
 
 class TestRoiAlign:

@@ -183,7 +183,7 @@ class TestSelftest:
         assert len(payload["checks"]) >= 20
         assert all("name" in c and "passed" in c for c in payload["checks"])
 
-    @pytest.mark.parametrize("op", ["sigmoid", "roi_align", "batch_norm", "conv2d_3x3"])
+    @pytest.mark.parametrize("op", ["sigmoid", "roi_align", "batch_norm", "conv2d_3x3", "conv_bn_relu"])
     def test_corrupted_gradient_detected(self, tmp_path, capsys, op):
         out = tmp_path / "report.json"
         assert run("selftest", "--out", out, "--corrupt-gradient", op) == 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from polymap.geometry import BBox, Polygon, rasterize
-from polymap.neural import training
+from polymap.neural import tensor, training
 from polymap.neural.head import ENCODER_VARIANTS, PolygonHeadConfig, init_model
 from polymap.neural.tensor import Tensor
 from polymap.neural.training import (
@@ -24,6 +24,7 @@ from polymap.neural.training import (
     train_toy,
 )
 from polymap.polyloss import LossWeights, no_vertex_index
+from polymap.selftest import naive_conv_bn_relu
 
 warnings.filterwarnings("ignore", message="batch_norm training")
 
@@ -265,6 +266,34 @@ class TestToyLoop:
             predict_corpus(store, cfg, doc, samples[:-1])
 
 
+class TestFusedStemBlock:
+    def test_training_is_bit_identical_to_the_three_ops(self, monkeypatch):
+        """The fused conv-BN-ReLU node trains exactly as conv, batch norm and ReLU nodes."""
+        cfg = tiny_cfg()
+        _, samples = small_corpus(cfg)
+
+        def run():
+            # 7 samples in batches of 3: the last step has a batch of one.
+            store, history = train_toy(samples, cfg, seed=0, epochs=1, batch_size=3,
+                                       lr=1e-3, detection=True)
+            groups = ({n: t.data for n, t in store.params.items()}, store.buffers,
+                      store.moment1, store.moment2)
+            return history.rows(), [{n: a.tobytes() for n, a in g.items()} for g in groups]
+
+        fused = run()
+        calls = []
+
+        def oracle(*args):
+            calls.append(args[-1])
+            return naive_conv_bn_relu(*args)
+
+        monkeypatch.setattr(tensor, "conv_bn_relu", oracle)
+        unfused = run()
+        assert len(samples) == 7 and calls and all(calls)
+        assert fused[0] == unfused[0]
+        assert fused[1] == unfused[1]
+
+
 class TestBenchmarkHooks:
     """The benchmark patches these names from outside the package."""
 
@@ -352,7 +381,7 @@ class TestFloat32Compute:
         assert b.cls > 0.0 and b.ver > 0.0
         self.assert_float32_until_cast(records, forwards=1)
         assert {op for op, _, _ in records} >= {
-            "conv2d_3x3", "batch_norm", "roi_align", "layer_norm", "conv2d_1x1", "constant"}
+            "conv_bn_relu", "roi_align", "layer_norm", "conv2d_1x1", "constant"}
         for name, t in store.params.items():
             assert t.data.dtype == np.float64 and t.grad.dtype == np.float64, name
         for group in (store.buffers, store.moment1, store.moment2):
