@@ -349,43 +349,67 @@ def _check_conv3x3(x: Tensor, w: Tensor, op: str) -> None:
            f"input has {x.data.shape[1]} channels, weights expect {w.data.shape[1]}")
 
 
-def _im2col_3x3(x: np.ndarray) -> np.ndarray:
-    """The (N, C*9, H*W) columns of (N, C, H, W) `x`, zero-padded by 1."""
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
-    xp[:, :, 1:-1, 1:-1] = x
-    cols = np.empty((n, c, 9, h, w), dtype=x.dtype)
-    for k, (dy, dx) in enumerate(_OFFSETS_3X3):
-        cols[:, :, k] = xp[:, :, dy:dy + h, dx:dx + w]
-    return cols.reshape(n, c * 9, h * w)
+def _image_columns(x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Each image index of (N, C, H, W) `x` with its (C*9, H*W) columns, zero-padded by 1.
+
+    One padded image and one column buffer serve the whole batch, so the
+    next image overwrites the columns yielded before it.
+    """
+    _, c, h, w = x.shape
+    xp = np.zeros((c, h + 2, w + 2), dtype=x.dtype)
+    # (C, 3, 3, H, W): the window at offset (dy, dx) of every output pixel.
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+    windows = windows.transpose(0, 3, 4, 1, 2)
+    cols = np.empty(windows.shape, dtype=x.dtype)
+    flat = cols.reshape(c * 9, h * w)
+    for i, image in enumerate(x):
+        xp[:, 1:-1, 1:-1] = image
+        cols[...] = windows
+        yield i, flat
 
 
-def _conv3x3(x: np.ndarray, wm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bias-free (N, F, H, W) conv of `x` by (F, C*9) `wm`, and its columns."""
+def _conv3x3(x: np.ndarray, wm: np.ndarray) -> np.ndarray:
+    """The bias-free (N, F, H, W) conv of `x` by (F, C*9) `wm`, one image at a time."""
     n, _, h, w = x.shape
-    cols = _im2col_3x3(x)
-    out = np.matmul(wm[None, :, :], cols)  # (N, F, H*W)
-    return out.reshape(n, wm.shape[0], h, w), cols
+    f = wm.shape[0]
+    out = np.empty((n, f, h, w), dtype=np.result_type(x.dtype, wm.dtype))
+    flat = out.reshape(n, f, h * w)
+    for i, cols in _image_columns(x):
+        np.matmul(wm, cols, out=flat[i])
+    return out
 
 
-def _conv3x3_grads(g: np.ndarray, cols: np.ndarray, wm: np.ndarray, x: Tensor):
+def _conv3x3_grads(g: np.ndarray, wm: np.ndarray, x: Tensor):
     """Bias, weight and input gradients of a 3x3 conv from its output gradient.
 
-    The input gradient is None when `x` takes none, e.g. the image under the
-    first stem conv.
+    The columns are rebuilt from `x` one image at a time, so a conv node
+    keeps none.  The weight gradient adds the per-image products to zeros in
+    image order, as a batched product's `.sum(axis=0)` does.  The input
+    gradient is None when `x` takes none, e.g. the image under the first
+    stem conv.
     """
     n, c, h, w = x.data.shape
     f = wm.shape[0]
     gm = g.reshape(n, f, h * w)
     gb = g.sum(axis=(0, 2, 3))
-    gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(f, c, 3, 3)
+    gw = np.zeros((f, c * 9), dtype=np.result_type(g.dtype, x.data.dtype))
+    part = np.empty_like(gw)
+    for i, cols in _image_columns(x.data):
+        np.matmul(gm[i], cols.T, out=part)
+        gw += part
+    gw = gw.reshape(f, c, 3, 3)
     if not _needs_grad(x):
         return gb, gw, None
-    gcols = np.matmul(wm.T[None, :, :], gm).reshape(n, c, 9, h, w)
-    gxp = np.zeros((n, c, h + 2, w + 2), dtype=x.data.dtype)
-    for k, (dy, dx) in enumerate(_OFFSETS_3X3):
-        gxp[:, :, dy:dy + h, dx:dx + w] += gcols[:, :, k]
-    return gb, gw, gxp[:, :, 1:-1, 1:-1]
+    gx = np.empty(x.data.shape, dtype=x.data.dtype)
+    gcols = np.empty((c, 9, h, w), dtype=np.result_type(wm.dtype, g.dtype))
+    gxp = np.empty((c, h + 2, w + 2), dtype=x.data.dtype)
+    for i in range(n):
+        np.matmul(wm.T, gm[i], out=gcols.reshape(c * 9, h * w))
+        gxp.fill(0)
+        for k, (dy, dx) in enumerate(_OFFSETS_3X3):
+            gxp[:, dy:dy + h, dx:dx + w] += gcols[:, k]
+        gx[i] = gxp[:, 1:-1, 1:-1]
+    return gb, gw, gx
 
 
 def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -393,11 +417,10 @@ def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _check_conv3x3(x, w, "conv2d_3x3")
     f = w.data.shape[0]
     wm = w.data.reshape(f, -1)
-    out, cols = _conv3x3(x.data, wm)
-    data = out + b.data.reshape(1, f, 1, 1)
+    data = _conv3x3(x.data, wm) + b.data.reshape(1, f, 1, 1)
 
     def backward(g):
-        gb, gw, gx = _conv3x3_grads(g, cols, wm, x)
+        gb, gw, gx = _conv3x3_grads(g, wm, x)
         _accum(b, gb)
         _accum(w, gw)
         if gx is not None:
@@ -420,11 +443,12 @@ def conv_bn_relu(
 
     Training mode does the three ops' arithmetic in the same order, so its
     output, gradients and running statistics equal theirs bit for bit; it
-    works in place and keeps only the im2col columns, x-hat and the output
-    for the backward.  Inference mode folds batch norm into the conv: with
-    s = gamma / sqrt(running_var + eps) per output channel, it convolves by
-    w s and adds beta + (b - running_mean) s, both formed in float64 and
-    cast to `x`'s dtype, so it matches the three ops to rounding.
+    works in place and keeps only x-hat and the output for the backward,
+    which rebuilds the im2col columns from `x` one image at a time.
+    Inference mode folds batch norm into the conv: with s = gamma /
+    sqrt(running_var + eps) per output channel, it convolves by w s and adds
+    beta + (b - running_mean) s, both formed in float64 and cast to `x`'s
+    dtype, so it matches the three ops to rounding.
     """
     _check_conv3x3(x, w, "conv_bn_relu")
     f = w.data.shape[0]
@@ -447,7 +471,7 @@ def _conv_bn_relu_training(x, w, b, gamma, beta, running_mean, running_var) -> T
     shape = (1, f, 1, 1)
     axes = (0, 2, 3)
     wm = w.data.reshape(f, -1)
-    xhat, cols = _conv3x3(x.data, wm)
+    xhat = _conv3x3(x.data, wm)
     xhat += b.data.reshape(shape)
     mu = xhat.mean(axis=axes)
     xhat -= mu.reshape(shape)
@@ -475,7 +499,7 @@ def _conv_bn_relu_training(x, w, b, gamma, beta, running_mean, running_var) -> T
         gy -= sum_g.reshape(shape)
         gy -= xhat * sum_gx.reshape(shape)
         gy *= (gamma.data * inv / count).reshape(shape)
-        gb, gw, gx = _conv3x3_grads(gy, cols, wm, x)
+        gb, gw, gx = _conv3x3_grads(gy, wm, x)
         _accum(b, gb)
         _accum(w, gw)
         if gx is not None:
@@ -493,13 +517,13 @@ def _conv_bn_relu_folded(x, w, b, gamma, beta, running_mean, running_var) -> Ten
     shift = b.data.astype(np.float64) - running_mean
     wm = (w64 * s.reshape(f, 1, 1, 1)).astype(dtype).reshape(f, -1)
     bias = (beta.data.astype(np.float64) + shift * s).astype(dtype)
-    data, cols = _conv3x3(x.data, wm)
+    data = _conv3x3(x.data, wm)
     data += bias.reshape(1, f, 1, 1)
     np.maximum(data, 0, out=data)
 
     def backward(g):
         # Gradients of the folded w' and b', then the chain rule through the fold.
-        gb, gw, gx = _conv3x3_grads(g * (data > 0), cols, wm, x)
+        gb, gw, gx = _conv3x3_grads(g * (data > 0), wm, x)
         _accum(w, gw * s.reshape(f, 1, 1, 1))
         _accum(b, gb * s)
         _accum(gamma, inv * ((gw * w64).sum(axis=(1, 2, 3)) + gb * shift))

@@ -122,28 +122,33 @@ def encode_gt_sequence(p: Polygon, grid_size: int, query_count: int, crop: BBox)
 
 
 def encode_gt_maps(p: Polygon, grid_size: int, crop: BBox) -> tuple[np.ndarray, np.ndarray]:
-    """Binary G x G vertex and edge target maps for a polygon inside `crop`."""
+    """Binary G x G vertex and edge target maps for a polygon inside `crop`.
+
+    Each edge is sampled every quarter cell or finer: ceil(length / 0.25)
+    steps, at a + (s / steps) * (b - a) for s = 0..steps.  Every vertex and
+    every sample marks the cell it truncates into, clamped to the grid.
+    """
     g = grid_size
     vertex = np.zeros((g, g), dtype=np.float64)
     edge = np.zeros((g, g), dtype=np.float64)
     x0, y0, _, _ = crop.corners()
-    pts = [((x - x0) / crop.w * g, (y - y0) / crop.h * g) for x, y in p.vertices.tolist()]
+    pts = (p.vertices - (x0, y0)) / (crop.w, crop.h) * g
 
-    def mark(arr, gx, gy):
-        col = min(g - 1, max(0, int(gx)))
-        row = min(g - 1, max(0, int(gy)))
-        arr[row, col] = 1.0
+    def mark(arr, xy):
+        cells = np.clip(np.trunc(xy), 0, g - 1).astype(np.intp)
+        arr[cells[:, 1], cells[:, 0]] = 1.0
 
-    for gx, gy in pts:
-        mark(vertex, gx, gy)
-    n = len(pts)
-    for i in range(n):
-        ax, ay = pts[i]
-        bx, by = pts[(i + 1) % n]
-        steps = max(1, int(math.ceil(math.hypot(bx - ax, by - ay) / 0.25)))
-        for s in range(steps + 1):
-            t = s / steps
-            mark(edge, ax + t * (bx - ax), ay + t * (by - ay))
+    mark(vertex, pts)
+    ends = np.roll(pts, -1, axis=0)
+    steps = np.array([max(1, int(math.ceil(math.hypot(bx - ax, by - ay) / 0.25)))
+                      for (ax, ay), (bx, by) in zip(pts.tolist(), ends.tolist())])
+    # One row per sample: its edge and its step s along that edge.
+    counts = steps + 1
+    edge_of = np.repeat(np.arange(len(steps)), counts)
+    s = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    t = (s / steps[edge_of])[:, None]
+    a = pts[edge_of]
+    mark(edge, a + t * (ends[edge_of] - a))
     return vertex, edge
 
 

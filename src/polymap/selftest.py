@@ -10,6 +10,7 @@ the harness catches it.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,32 @@ def naive_exhaustive_loss(
     return best
 
 
+def naive_encode_gt_maps(p, grid_size: int, crop) -> tuple[np.ndarray, np.ndarray]:
+    """Reference `polyloss.encode_gt_maps`: marks one vertex and one edge sample at a time."""
+    g = grid_size
+    vertex = np.zeros((g, g), dtype=np.float64)
+    edge = np.zeros((g, g), dtype=np.float64)
+    x0, y0, _, _ = crop.corners()
+    pts = [((x - x0) / crop.w * g, (y - y0) / crop.h * g) for x, y in p.vertices.tolist()]
+
+    def mark(arr, gx, gy):
+        col = min(g - 1, max(0, int(gx)))
+        row = min(g - 1, max(0, int(gy)))
+        arr[row, col] = 1.0
+
+    for gx, gy in pts:
+        mark(vertex, gx, gy)
+    n = len(pts)
+    for i in range(n):
+        ax, ay = pts[i]
+        bx, by = pts[(i + 1) % n]
+        steps = max(1, int(math.ceil(math.hypot(bx - ax, by - ay) / 0.25)))
+        for s in range(steps + 1):
+            t = s / steps
+            mark(edge, ax + t * (bx - ax), ay + t * (by - ay))
+    return vertex, edge
+
+
 def naive_roi_align(
     features: np.ndarray, rois: list, out_size: int, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -114,15 +141,55 @@ def naive_roi_align(
     return values, grad
 
 
-def naive_conv_bn_relu(x, w, b, gamma, beta, running_mean, running_var, training):
-    """Reference `tensor.conv_bn_relu`: the three engine ops it fuses, one node each.
+_OFFSETS_3X3 = [(dy, dx) for dy in range(3) for dx in range(3)]
 
-    In training mode the fused op must equal this bit for bit; in inference
-    mode, where it folds batch norm into the conv, to rounding.
+
+def naive_conv2d_3x3(x, w, b):
+    """Reference `tensor.conv2d_3x3`: im2col over the whole batch at once.
+
+    The node keeps the (N, C*9, H*W) columns for its backward, which makes
+    batched GEMMs and a batched col2im.  The engine op works one image at a
+    time and must equal this bit for bit.
     """
     from .neural import tensor as T
 
-    h = T.conv2d_3x3(x, w, b)
+    n, c, h, ww = x.data.shape
+    f = w.data.shape[0]
+    wm = w.data.reshape(f, -1)
+    xp = np.zeros((n, c, h + 2, ww + 2), dtype=x.data.dtype)
+    xp[:, :, 1:-1, 1:-1] = x.data
+    cols = np.empty((n, c, 9, h, ww), dtype=x.data.dtype)
+    for k, (dy, dx) in enumerate(_OFFSETS_3X3):
+        cols[:, :, k] = xp[:, :, dy:dy + h, dx:dx + ww]
+    cols = cols.reshape(n, c * 9, h * ww)
+    out = np.matmul(wm[None, :, :], cols)  # (N, F, H*W)
+    data = out.reshape(n, f, h, ww) + b.data.reshape(1, f, 1, 1)
+
+    def backward(g):
+        gm = g.reshape(n, f, h * ww)
+        T._accum(b, g.sum(axis=(0, 2, 3)))
+        T._accum(w, np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(f, c, 3, 3))
+        if not T._needs_grad(x):
+            return
+        gcols = np.matmul(wm.T[None, :, :], gm).reshape(n, c, 9, h, ww)
+        gxp = np.zeros((n, c, h + 2, ww + 2), dtype=x.data.dtype)
+        for k, (dy, dx) in enumerate(_OFFSETS_3X3):
+            gxp[:, :, dy:dy + h, dx:dx + ww] += gcols[:, :, k]
+        T._accum(x, gxp[:, :, 1:-1, 1:-1])
+
+    return T._node(data, (x, w, b), "conv2d_3x3", backward)
+
+
+def naive_conv_bn_relu(x, w, b, gamma, beta, running_mean, running_var, training):
+    """Reference `tensor.conv_bn_relu`: the three ops it fuses, one node each.
+
+    The conv is `naive_conv2d_3x3`, so the reference shares no conv code with
+    the engine.  In training mode the fused op must equal this bit for bit;
+    in inference mode, where it folds batch norm into the conv, to rounding.
+    """
+    from .neural import tensor as T
+
+    h = naive_conv2d_3x3(x, w, b)
     return T.relu(T.batch_norm(h, gamma, beta, running_mean, running_var, training))
 
 
@@ -430,6 +497,63 @@ def check_roi_align(rng: np.random.RandomState) -> CheckResult:
     return CheckResult("gradients_roi_align", err < 1e-5, f"max relative error = {err:.2e}")
 
 
+def _conv3x3_outputs(op, arrays, upstream, x_grad: bool, bn: bool) -> list:
+    """Output, gradients and running statistics of a conv op after one backward.
+
+    `op` takes (x, w, b), or with `bn` the conv_bn_relu arguments in training
+    mode.
+    """
+    from .neural import tensor as T
+
+    names = ("x", "w", "b", "gamma", "beta") if bn else ("x", "w", "b")
+    leaves = [T.Tensor(arrays[k].copy(), requires_grad=(k != "x" or x_grad)) for k in names]
+    f = arrays["w"].shape[0]
+    stats = [np.zeros(f), np.ones(f)] if bn else []
+    out = op(*leaves, *stats, True) if bn else op(*leaves)
+    T.sum_all(T.mul(out, T.Tensor(upstream))).backward()
+    return [out.data] + [t.grad for t in leaves] + stats
+
+
+def _same_bytes(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def check_conv3x3_vs_batched(trials: int = 8) -> CheckResult:
+    """`conv2d_3x3` and training-mode `conv_bn_relu` against the batched oracle.
+
+    Output, every gradient and the running statistics must be equal byte for
+    byte, on seeded random shapes in float32 and float64, some with an input
+    that takes no gradient.  The inputs come from their own RNG stream.
+    """
+    from .neural import tensor as T
+
+    pairs = ((T.conv2d_3x3, naive_conv2d_3x3, False), (T.conv_bn_relu, naive_conv_bn_relu, True))
+    rng = np.random.RandomState(13)
+    cases = differ = 0
+    for trial in range(trials):
+        n, c, f = (int(v) for v in rng.randint(1, 4, size=3))
+        h, w = (int(v) for v in rng.randint(2, 9, size=2))
+        arrays = {"x": rng.uniform(-1.0, 1.0, size=(n, c, h, w)),
+                  "w": rng.uniform(-0.5, 0.5, size=(f, c, 3, 3)),
+                  "b": rng.uniform(-0.5, 0.5, size=f),
+                  "gamma": rng.uniform(0.5, 1.5, size=f),
+                  "beta": rng.uniform(-0.5, 0.5, size=f)}
+        dtype = (np.float32, np.float64)[trial % 2]
+        arrays = {k: a.astype(dtype) for k, a in arrays.items()}
+        upstream = rng.standard_normal((n, f, h, w)).astype(dtype)
+        x_grad = trial % 3 != 2
+        for fast, naive, bn in pairs:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", message="batch_norm training")
+                got = _conv3x3_outputs(fast, arrays, upstream, x_grad, bn)
+                want = _conv3x3_outputs(naive, arrays, upstream, x_grad, bn)
+            cases += 1
+            differ += not all(_same_bytes(a, b) for a, b in zip(got, want))
+    return CheckResult("conv3x3_vs_batched", differ == 0, f"{differ} of {cases} cases differ")
+
+
 def check_full_graph_gradients(rng: np.random.RandomState) -> CheckResult:
     from .geometry import Polygon, rasterize
     from .neural.gradcheck import finite_difference_check
@@ -557,6 +681,7 @@ def run_selftest(corrupt_op: str | None = None) -> tuple[bool, list[CheckResult]
             results.extend(check_op_gradients(rng))
             results.append(check_roi_align(rng))
             results.append(check_full_graph_gradients(rng))
+    results.append(check_conv3x3_vs_batched())
     results.extend(check_metric_hand_cases())
     results.append(check_rasterize_vs_naive(rng))
     results.append(check_tiling_arithmetic())

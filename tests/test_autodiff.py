@@ -30,7 +30,13 @@ from polymap.neural.tensor import (
     sum_all,
     transpose,
 )
-from polymap.selftest import naive_conv_bn_relu, naive_roi_align
+from polymap.selftest import (
+    _conv3x3_outputs,
+    _same_bytes,
+    naive_conv2d_3x3,
+    naive_conv_bn_relu,
+    naive_roi_align,
+)
 
 TOL = 1e-5
 
@@ -415,6 +421,76 @@ class TestConvBnRelu:
             conv_bn_relu(x, Tensor(np.ones((3, 5, 3, 3))), b, b, b, *stats, False)
         with pytest.raises(ValueError, match="conv_bn_relu: gamma shape"):
             conv_bn_relu(x, w, b, Tensor(np.ones(2)), b, *stats, True)
+
+
+class TestConvAgainstBatchedOracle:
+    """The per-image conv against `naive_conv2d_3x3`, which im2cols the whole batch."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 3, 5, 6), (3, 3, 5, 6), (3, 1, 7, 4), (2, 2, 1, 3)])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("op, naive, bn", [(conv2d_3x3, naive_conv2d_3x3, False),
+                                               (conv_bn_relu, naive_conv_bn_relu, True)],
+                             ids=["conv2d_3x3", "conv_bn_relu"])
+    def test_equal_byte_for_byte(self, op, naive, bn, x_grad, shape, dtype):
+        # Output, every gradient and, with batch norm, both running buffers.
+        rng = np.random.RandomState(110)
+        n, c, h, w = shape
+        arrays = {"x": rng.uniform(-1.0, 1.0, size=shape),
+                  "w": rng.uniform(-0.5, 0.5, size=(4, c, 3, 3)),
+                  "b": rng.uniform(-0.5, 0.5, size=4),
+                  "gamma": rng.uniform(0.5, 1.5, size=4),
+                  "beta": rng.uniform(-0.5, 0.5, size=4)}
+        arrays = {k: a.astype(dtype) for k, a in arrays.items()}
+        upstream = rng.standard_normal((n, 4, h, w)).astype(dtype)
+        got = _conv3x3_outputs(op, arrays, upstream, x_grad, bn)
+        want = _conv3x3_outputs(naive, arrays, upstream, x_grad, bn)
+        assert len(got) == (8 if bn else 4)
+        assert (got[1] is None) == (not x_grad) and got[0].dtype == dtype
+        for a, b in zip(got, want):
+            assert _same_bytes(a, b)
+
+
+def closure_bytes(node: Tensor) -> int:
+    """Bytes of the distinct buffers reachable from a node's backward closure."""
+    owners = {}
+
+    def visit(obj):
+        if isinstance(obj, Tensor):
+            visit(obj.data)
+        elif isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            owners[id(obj)] = obj.nbytes
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                visit(item)
+
+    for cell in node._backward.__closure__ or ():
+        visit(cell.cell_contents)
+    return sum(owners.values())
+
+
+class TestConvKeepsNoColumns:
+    """A conv node keeps no im2col columns, which are nine times its input."""
+
+    @pytest.mark.parametrize("op", ["conv2d_3x3", "conv_bn_relu"])
+    def test_backward_holds_at_most_input_xhat_and_output(self, op):
+        rng = np.random.RandomState(120)
+        x = leaf(rng, 2, 4, 16, 12)
+        params = [leaf(rng, 4, 4, 3, 3), leaf(rng, 4)]
+        if op == "conv_bn_relu":
+            params += [leaf(rng, 4), leaf(rng, 4)]
+            out = conv_bn_relu(x, *params, np.zeros(4), np.ones(4), True)
+            # Input, x-hat, output and the four float64 inverse deviations.
+            kept = x.data.nbytes + 2 * out.data.nbytes + 4 * 8
+        else:
+            out = conv2d_3x3(x, *params)
+            kept = x.data.nbytes + out.data.nbytes
+        kept += sum(p.data.nbytes for p in params)
+        assert closure_bytes(out) <= kept
+        sum_all(out).backward()
+        assert x.grad.shape == x.data.shape
 
 
 class TestRoiAlign:

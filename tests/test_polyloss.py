@@ -20,7 +20,11 @@ from polymap.polyloss import (
     search_reference,
     sequence_loss,
 )
-from polymap.selftest import naive_bidirectional_loss, naive_exhaustive_loss
+from polymap.selftest import (
+    naive_bidirectional_loss,
+    naive_encode_gt_maps,
+    naive_exhaustive_loss,
+)
 
 G = 5
 V = G * G + 1
@@ -104,6 +108,33 @@ class TestEncodeSequence:
         assert vmap[0, 0] == 1.0 and vmap[0, 9] == 1.0 and vmap[9, 9] == 1.0
         assert emap[0, :].all() and emap[:, 0].all()  # boundary rows covered
         assert emap[5, 5] == 0.0  # interior untouched
+
+    @pytest.mark.parametrize("grid", [4, 8, 13, 28])
+    def test_gt_maps_equal_the_loop(self, grid):
+        # Random rings, every other one on the quarter-pixel lattice, under
+        # jittered crops of every aspect that may cut the ring.  A crop of
+        # side `grid` at whole pixels maps the lattice onto quarter cells, so
+        # many samples fall exactly on cell borders.
+        rng = np.random.RandomState(grid)
+        cases = 0
+        for i in range(150):
+            pts = rng.uniform(-5.0, 60.0, size=(int(rng.randint(3, 12)), 2))
+            if i % 2 == 0:
+                pts = np.round(pts * 4) / 4
+            try:
+                p = Polygon.from_points(pts)
+            except ValueError:  # a repeated vertex or zero area
+                continue
+            for j in range(3):
+                x0, y0 = rng.uniform(-10.0, 30.0, size=2)
+                if i % 2 == 0 and j == 0:
+                    crop = BBox.from_xywh(np.round(x0), np.round(y0), grid, grid)
+                else:
+                    crop = BBox.from_xywh(x0, y0, *rng.uniform(0.5, 70.0, size=2))
+                got, want = encode_gt_maps(p, grid, crop), naive_encode_gt_maps(p, grid, crop)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                cases += 1
+        assert cases > 300
 
 
 class TestSearchReference:
