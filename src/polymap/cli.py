@@ -30,7 +30,6 @@ from .dataio import (
 from .geometry import BBox, marching_squares, signed_area, simplify_polygon
 from .metrics import MetricReport, evaluate_instances
 from .polyloss import LossWeights
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -87,6 +86,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # Imported here: only this command needs the checks and their oracles.
+    from .selftest import run_selftest
+
     ok, results = run_selftest(corrupt_op=args.corrupt_gradient)
     payload = {
         "tool_version": __version__,

@@ -383,32 +383,50 @@ def _conv3x3_grads(g: np.ndarray, wm: np.ndarray, x: Tensor):
     """Bias, weight and input gradients of a 3x3 conv from its output gradient.
 
     The columns are rebuilt from `x` one image at a time, so a conv node
-    keeps none.  The weight gradient adds the per-image products to zeros in
-    image order, as a batched product's `.sum(axis=0)` does.  The input
-    gradient is None when `x` takes none, e.g. the image under the first
-    stem conv.
+    keeps none.  The weight gradient forms each image's (C*9, F) product
+    `cols @ g_i.T`, adds the products to zeros in image order, as a batched
+    product's `.sum(axis=0)` does, and transposes the sum at the end.
+
+    The input gradient (col2im) copies each image's output gradient into a
+    zero-padded (F, H, W+2) buffer, so `wm.T @ gpad` gives (C*9, H*(W+2))
+    columns whose rows are as long as a padded image's rows.  Offset (dy, dx)
+    then lands on one contiguous slice, at dy*(W+2) + dx, of a flat padded
+    image of (H+2)*(W+2) + 2 values, and the nine adds run in offset order on
+    zeros, as the batched col2im's do.  The two pad columns of each product
+    row are zeros for finite weights; a sum that starts at +0.0 never
+    becomes -0.0, so adding them changes no bit.  For a 1x1 image the
+    padded product takes a matrix-matrix BLAS path where the unpadded one
+    took matrix-vector, so there the input gradient matches the batched
+    col2im to rounding rather than bit for bit; no model conv sees a 1x1
+    image.  The input gradient is None when `x` takes none, e.g. the image
+    under the first stem conv.
     """
     n, c, h, w = x.data.shape
     f = wm.shape[0]
     gm = g.reshape(n, f, h * w)
     gb = g.sum(axis=(0, 2, 3))
-    gw = np.zeros((f, c * 9), dtype=np.result_type(g.dtype, x.data.dtype))
+    gw = np.zeros((c * 9, f), dtype=np.result_type(g.dtype, x.data.dtype))
     part = np.empty_like(gw)
     for i, cols in _image_columns(x.data):
-        np.matmul(gm[i], cols.T, out=part)
+        np.matmul(cols, gm[i].T, out=part)
         gw += part
-    gw = gw.reshape(f, c, 3, 3)
+    gw = gw.T.reshape(f, c, 3, 3)
     if not _needs_grad(x):
         return gb, gw, None
+    row = w + 2
     gx = np.empty(x.data.shape, dtype=x.data.dtype)
-    gcols = np.empty((c, 9, h, w), dtype=np.result_type(wm.dtype, g.dtype))
-    gxp = np.empty((c, h + 2, w + 2), dtype=x.data.dtype)
+    gpad = np.zeros((f, h, row), dtype=g.dtype)
+    gcols = np.empty((c, 9, h * row), dtype=np.result_type(wm.dtype, g.dtype))
+    gxp = np.empty((c, (h + 2) * row + 2), dtype=x.data.dtype)
+    interior = gxp[:, :(h + 2) * row].reshape(c, h + 2, row)[:, 1:-1, 1:-1]
     for i in range(n):
-        np.matmul(wm.T, gm[i], out=gcols.reshape(c * 9, h * w))
+        gpad[:, :, :w] = g[i]
+        np.matmul(wm.T, gpad.reshape(f, h * row), out=gcols.reshape(c * 9, h * row))
         gxp.fill(0)
         for k, (dy, dx) in enumerate(_OFFSETS_3X3):
-            gxp[:, dy:dy + h, dx:dx + w] += gcols[:, k]
-        gx[i] = gxp[:, 1:-1, 1:-1]
+            start = dy * row + dx
+            gxp[:, start:start + h * row] += gcols[:, k]
+        gx[i] = interior
     return gb, gw, gx
 
 
@@ -468,7 +486,7 @@ def _conv_bn_relu_training(x, w, b, gamma, beta, running_mean, running_var) -> T
             "single-instance statistics",
             stacklevel=3,
         )
-    shape = (1, f, 1, 1)
+    shape = (f, 1, 1)
     axes = (0, 2, 3)
     wm = w.data.reshape(f, -1)
     xhat = _conv3x3(x.data, wm)
@@ -483,10 +501,17 @@ def _conv_bn_relu_training(x, w, b, gamma, beta, running_mean, running_var) -> T
     running_var *= 1.0 - BATCH_NORM_MOMENTUM
     running_var += BATCH_NORM_MOMENTUM * unbiased
     inv = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
-    xhat *= inv.reshape(shape)
-    data = gamma.data.reshape(shape) * xhat
-    data += beta.data.reshape(shape)
-    np.maximum(data, 0, out=data)
+    # The elementwise tails run one image at a time, so each full-size array
+    # is read once and every temporary is image-sized; the same ufuncs in
+    # the same order give the same bytes as whole-array calls.
+    inv_c = inv.reshape(shape)
+    gamma_c, beta_c = gamma.data.reshape(shape), beta.data.reshape(shape)
+    data = np.empty(xhat.shape, dtype=np.result_type(gamma.data, xhat))
+    for xi, di in zip(xhat, data):
+        xi *= inv_c
+        np.multiply(gamma_c, xi, out=di)
+        di += beta_c
+        np.maximum(di, 0, out=di)
 
     def backward(g):
         # The ReLU mask, then batch_norm's backward in place on the masked copy.
@@ -495,10 +520,13 @@ def _conv_bn_relu_training(x, w, b, gamma, beta, running_mean, running_var) -> T
         sum_gx = np.einsum("nchw,nchw->c", gy, xhat)
         _accum(gamma, sum_gx)
         _accum(beta, sum_g)
-        gy *= count
-        gy -= sum_g.reshape(shape)
-        gy -= xhat * sum_gx.reshape(shape)
-        gy *= (gamma.data * inv / count).reshape(shape)
+        sum_g_c, sum_gx_c = sum_g.reshape(shape), sum_gx.reshape(shape)
+        k = (gamma.data * inv / count).reshape(shape)
+        for gi, xi in zip(gy, xhat):
+            gi *= count
+            gi -= sum_g_c
+            gi -= xi * sum_gx_c
+            gi *= k
         gb, gw, gx = _conv3x3_grads(gy, wm, x)
         _accum(b, gb)
         _accum(w, gw)

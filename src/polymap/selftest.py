@@ -149,7 +149,8 @@ def naive_conv2d_3x3(x, w, b):
 
     The node keeps the (N, C*9, H*W) columns for its backward, which makes
     batched GEMMs and a batched col2im.  The engine op works one image at a
-    time and must equal this bit for bit.
+    time and must equal this bit for bit, except a 1x1 image's input
+    gradient, which it matches to rounding.
     """
     from .neural import tensor as T
 

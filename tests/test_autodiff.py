@@ -426,28 +426,76 @@ class TestConvBnRelu:
 class TestConvAgainstBatchedOracle:
     """The per-image conv against `naive_conv2d_3x3`, which im2cols the whole batch."""
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(1, 3, 5, 6), (3, 3, 5, 6), (3, 1, 7, 4), (2, 2, 1, 3)])
-    @pytest.mark.parametrize("x_grad", [True, False])
-    @pytest.mark.parametrize("op, naive, bn", [(conv2d_3x3, naive_conv2d_3x3, False),
-                                               (conv_bn_relu, naive_conv_bn_relu, True)],
-                             ids=["conv2d_3x3", "conv_bn_relu"])
-    def test_equal_byte_for_byte(self, op, naive, bn, x_grad, shape, dtype):
-        # Output, every gradient and, with batch norm, both running buffers.
-        rng = np.random.RandomState(110)
+    OPS = pytest.mark.parametrize(
+        "op, naive, bn", [(conv2d_3x3, naive_conv2d_3x3, False),
+                          (conv_bn_relu, naive_conv_bn_relu, True)],
+        ids=["conv2d_3x3", "conv_bn_relu"])
+
+    @staticmethod
+    def case(shape, f, dtype, seed, signed_zeros=False):
+        rng = np.random.RandomState(seed)
         n, c, h, w = shape
         arrays = {"x": rng.uniform(-1.0, 1.0, size=shape),
-                  "w": rng.uniform(-0.5, 0.5, size=(4, c, 3, 3)),
-                  "b": rng.uniform(-0.5, 0.5, size=4),
-                  "gamma": rng.uniform(0.5, 1.5, size=4),
-                  "beta": rng.uniform(-0.5, 0.5, size=4)}
+                  "w": rng.uniform(-0.5, 0.5, size=(f, c, 3, 3)),
+                  "b": rng.uniform(-0.5, 0.5, size=f),
+                  "gamma": rng.uniform(0.5, 1.5, size=f),
+                  "beta": rng.uniform(-0.5, 0.5, size=f)}
         arrays = {k: a.astype(dtype) for k, a in arrays.items()}
-        upstream = rng.standard_normal((n, 4, h, w)).astype(dtype)
+        upstream = rng.standard_normal((n, f, h, w)).astype(dtype)
+        if signed_zeros:
+            # What a ReLU mask passes on: +0.0 and -0.0 where it is off,
+            # here in every channel of each image's top rows too, so some
+            # input-gradient pixels sum only zeros.
+            off = rng.uniform(size=upstream.shape) < 0.5
+            off[:, :, :(h + 1) // 2] = True
+            upstream[off] *= 0.0
+            assert np.signbit(upstream[off]).any() and not np.signbit(upstream[off]).all()
+        return arrays, upstream
+
+    def check(self, op, naive, bn, x_grad, arrays, upstream):
+        # Output, every gradient and, with batch norm, both running buffers.
         got = _conv3x3_outputs(op, arrays, upstream, x_grad, bn)
         want = _conv3x3_outputs(naive, arrays, upstream, x_grad, bn)
         assert len(got) == (8 if bn else 4)
-        assert (got[1] is None) == (not x_grad) and got[0].dtype == dtype
+        assert (got[1] is None) == (not x_grad) and got[0].dtype == arrays["x"].dtype
         for a, b in zip(got, want):
+            assert _same_bytes(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 3, 5, 6), (3, 3, 5, 6), (3, 1, 7, 4), (2, 2, 1, 3),
+                                       (3, 2, 6, 1), (2, 3, 4, 1)])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @OPS
+    def test_equal_byte_for_byte(self, op, naive, bn, x_grad, shape, dtype):
+        self.check(op, naive, bn, x_grad, *self.case(shape, 4, dtype, seed=110))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 3, 5, 6), (2, 2, 4, 1)])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @OPS
+    def test_signed_zero_gradients(self, op, naive, bn, x_grad, shape, dtype):
+        self.check(op, naive, bn, x_grad, *self.case(shape, 4, dtype, seed=111, signed_zeros=True))
+
+    @pytest.mark.parametrize("shape, f", [((2, 12, 64, 64), 24), ((3, 24, 20, 20), 24)],
+                             ids=["64x64", "20x20"])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @OPS
+    def test_benchmark_sizes(self, op, naive, bn, x_grad, shape, f):
+        # Inner dimensions long enough to cross BLAS blocking boundaries.
+        self.check(op, naive, bn, x_grad, *self.case(shape, f, np.float32, seed=112))
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @OPS
+    def test_one_pixel_images_to_rounding(self, op, naive, bn, dtype, tol):
+        # A 1x1 image's padded col2im product takes another BLAS path than
+        # the oracle's, so its input gradient matches to rounding; the
+        # output and every other gradient still match byte for byte.
+        arrays, upstream = self.case((2, 3, 1, 1), 4, dtype, seed=113)
+        got = _conv3x3_outputs(op, arrays, upstream, True, bn)
+        want = _conv3x3_outputs(naive, arrays, upstream, True, bn)
+        assert got[1].dtype == dtype
+        assert np.abs(got[1] - want[1]).max() <= tol * np.abs(want[1]).max()
+        for a, b in zip(got[:1] + got[2:], want[:1] + want[2:]):
             assert _same_bytes(a, b)
 
 

@@ -1,11 +1,16 @@
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polymap
 from polymap.cli import main
 from polymap.dataio import load_corpus, parse_coco, write_pgm
 from polymap.geometry import Polygon, mask_iou, rasterize
@@ -191,6 +196,15 @@ class TestSelftest:
         failing = [c["name"] for c in payload["checks"] if not c["passed"]]
         assert f"gradients_{op}" in failing
         assert f"gradients_{op}" in capsys.readouterr().err
+
+    def test_cli_import_leaves_selftest_unloaded(self):
+        # Only `polymap selftest` needs the checks, so other commands skip
+        # importing them.  A fresh interpreter: this test run has them loaded.
+        src = str(Path(polymap.__file__).resolve().parents[1])
+        code = "import sys, polymap.cli; print('polymap.selftest' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestSimplify:
